@@ -2633,7 +2633,7 @@ static int __pyx_f_11shieldtiles_9_fastgeom__separated(double *__pyx_v_axs, doub
  *         ay = ays[i]
  *         bx = axs[(i + 1) % na]             # <<<<<<<<<<<<<<
  *         by = ays[(i + 1) % na]
- *         nx = ay - by
+ *         nx = by - ay
 */
     __pyx_v_bx = (__pyx_v_axs[((__pyx_v_i + 1) % __pyx_v_na)]);
 
@@ -2641,32 +2641,32 @@ static int __pyx_f_11shieldtiles_9_fastgeom__separated(double *__pyx_v_axs, doub
  *         ay = ays[i]
  *         bx = axs[(i + 1) % na]
  *         by = ays[(i + 1) % na]             # <<<<<<<<<<<<<<
- *         nx = ay - by
- *         ny = bx - ax
+ *         nx = by - ay
+ *         ny = ax - bx
 */
     __pyx_v_by = (__pyx_v_ays[((__pyx_v_i + 1) % __pyx_v_na)]);
 
     /* "shieldtiles/_fastgeom.pyx":35
  *         bx = axs[(i + 1) % na]
  *         by = ays[(i + 1) % na]
- *         nx = ay - by             # <<<<<<<<<<<<<<
- *         ny = bx - ax
+ *         nx = by - ay             # <<<<<<<<<<<<<<
+ *         ny = ax - bx
  *         ref = nx * ax + ny * ay
 */
-    __pyx_v_nx = (__pyx_v_ay - __pyx_v_by);
+    __pyx_v_nx = (__pyx_v_by - __pyx_v_ay);
 
     /* "shieldtiles/_fastgeom.pyx":36
  *         by = ays[(i + 1) % na]
- *         nx = ay - by
- *         ny = bx - ax             # <<<<<<<<<<<<<<
+ *         nx = by - ay
+ *         ny = ax - bx             # <<<<<<<<<<<<<<
  *         ref = nx * ax + ny * ay
  *         mn = INFINITY
 */
-    __pyx_v_ny = (__pyx_v_bx - __pyx_v_ax);
+    __pyx_v_ny = (__pyx_v_ax - __pyx_v_bx);
 
     /* "shieldtiles/_fastgeom.pyx":37
- *         nx = ay - by
- *         ny = bx - ax
+ *         nx = by - ay
+ *         ny = ax - bx
  *         ref = nx * ax + ny * ay             # <<<<<<<<<<<<<<
  *         mn = INFINITY
  *         for j in range(nb):
@@ -2674,7 +2674,7 @@ static int __pyx_f_11shieldtiles_9_fastgeom__separated(double *__pyx_v_axs, doub
     __pyx_v_ref = ((__pyx_v_nx * __pyx_v_ax) + (__pyx_v_ny * __pyx_v_ay));
 
     /* "shieldtiles/_fastgeom.pyx":38
- *         ny = bx - ax
+ *         ny = ax - bx
  *         ref = nx * ax + ny * ay
  *         mn = INFINITY             # <<<<<<<<<<<<<<
  *         for j in range(nb):

@@ -32,8 +32,8 @@ cdef bint _separated(double* axs, double* ays, int na,
         ay = ays[i]
         bx = axs[(i + 1) % na]
         by = ays[(i + 1) % na]
-        nx = ay - by
-        ny = bx - ax
+        nx = by - ay
+        ny = ax - bx
         ref = nx * ax + ny * ay
         mn = INFINITY
         for j in range(nb):

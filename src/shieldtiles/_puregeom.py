@@ -27,8 +27,8 @@ def convex_overlap(p1, p2, tol: float) -> bool:
             bx = poly_a[(2 * i + 2) % (2 * n)]
             by = poly_a[(2 * i + 3) % (2 * n)]
             # outward normal of CCW edge
-            nx = ay - by
-            ny = bx - ax
+            nx = by - ay
+            ny = ax - bx
             # max projection of poly_a onto the axis is at this edge
             ref = nx * ax + ny * ay
             m = len(poly_b) // 2

@@ -229,6 +229,8 @@ class Patch:
         self._grid: dict[tuple[int, int], list[int]] = {}
         self._vgrid: dict[tuple[int, int], list[int]] = {}
         self._atlas = atlas_words(alpha)
+        # one entry of reversible effects per add_tile, for pop_tile
+        self._undo: list[tuple] = []
         self._frozen = False
         self._report: ValidationReport | None = None
 
@@ -433,18 +435,14 @@ class Patch:
             self._vertices[vid].intervals.append(iv)
         cell = (math.floor(cxm / GRID), math.floor(cym / GRID))
         self._grid.setdefault(cell, []).append(tidx)
-        self._journal_stack_push(journal, real_vids, key, cell)
+        self._undo.append((journal, real_vids, key, cell))
         self._report = None
         return real_vids
 
-    # journal of reversible effects, for backtracking search
-    def _journal_stack_push(self, journal, vids, key, cell):
-        if not hasattr(self, "_undo"):
-            self._undo = []
-        self._undo.append((journal, vids, key, cell))
-
     def pop_tile(self):
         """Undo the most recent add_tile."""
+        if self._frozen:
+            raise ValueError("patch is frozen")
         journal, vids, key, cell = self._undo.pop()
         tidx = len(self.tiles) - 1
         pl = self.tiles.pop()

@@ -32,6 +32,27 @@ DEFAULT_MARGIN = 1.0
 ORIGIN = ExactPoint.from_dict({})
 
 
+class NodeBudget:
+    """Search nodes allowed and used.
+
+    A node is one tentative tile placement.  Passing one instance as the
+    budget of several searches makes them share a single limit.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self) -> None:
+        if self.used >= self.limit:
+            raise BudgetExceeded("node budget exhausted")
+        self.used += 1
+
+
+def _as_budget(budget: int | NodeBudget) -> NodeBudget:
+    return budget if isinstance(budget, NodeBudget) else NodeBudget(budget)
+
+
 @dataclass
 class _Search:
     """Shared state for one depth-first completion run."""
@@ -39,11 +60,10 @@ class _Search:
     patch: Patch
     done: object  # () -> bool
     frontier: object  # () -> list of (dist2, vid)
-    budget: int
+    budget: NodeBudget
     tile_filter: object = None
     on_solution: object = None
     first_only: bool = False
-    nodes: int = 0
 
     def run(self) -> bool:
         if self.done():
@@ -62,9 +82,7 @@ class _Search:
         )
         point = self.patch.vertex_point(vid)
         for cand in _flush_candidates(point, start_dir):
-            if self.nodes >= self.budget:
-                raise BudgetExceeded("node budget exhausted")
-            self.nodes += 1
+            self.budget.spend()
             try:
                 vids = self.patch.add_tile(cand)
             except ShieldError:
@@ -141,7 +159,7 @@ def fill_disk(
     center_vid: int,
     radius: float,
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | NodeBudget = DEFAULT_BUDGET,
     tile_filter=None,
     on_solution=None,
     first_only: bool = False,
@@ -150,14 +168,15 @@ def fill_disk(
 
     With first_only the patch is left in the first completed state found
     and True is returned; otherwise on_solution is invoked on every
-    completion and the patch is restored.
+    completion and the patch is restored.  budget is a node count, or a
+    NodeBudget shared with other searches.
     """
     cxy = patch.vertex_xy(center_vid)
     s = _Search(
         patch=patch,
         done=lambda: not _disk_frontier_offends(patch, cxy, radius),
         frontier=lambda: _disk_frontier(patch, cxy, radius),
-        budget=budget,
+        budget=_as_budget(budget),
         tile_filter=tile_filter,
         on_solution=on_solution,
         first_only=first_only,
@@ -193,7 +212,7 @@ def fill_region(
         patch=patch,
         done=done,
         frontier=lambda: _gap_frontier(patch, center_xy),
-        budget=budget,
+        budget=NodeBudget(budget),
         tile_filter=tile_filter,
         on_solution=on_solution,
         first_only=first_only,
@@ -212,18 +231,39 @@ def complete_ball(
     n: float,
     *,
     margin: float = DEFAULT_MARGIN,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | NodeBudget = DEFAULT_BUDGET,
 ) -> set[PatternBall]:
-    """All pattern balls of radius n around the center over all completions.
+    """All pattern balls of radius n around the center that occur inside
+    completions of the radius n + margin disk.
 
-    Completions are carried out to radius n + margin; the margin discards
-    local configurations that close the disk but cannot grow any further,
-    so the reported balls are those that occur inside larger arrangements.
-    On budget exhaustion BudgetExceeded is raised carrying the (verified,
-    possibly incomplete) set found so far.
+    The margin discards local configurations that close the disk but cannot
+    grow any further.  Two steps, both run by fill_disk:
+
+    1. Search the completions of the radius-n disk only.  Each yields its
+       ball; a raw tile set seen before is skipped, a new one is keyed.
+    2. For each new key, one first_only search out to n + margin, started
+       from the seed plus the ball's tiles, decides whether the ball
+       extends.  Only balls that extend are kept.
+
+    This gives the same balls as listing every completion of the
+    n + margin disk.  Such a completion holds the ball of its own radius-n
+    disk, so it witnesses that ball.  Conversely the ball covers the closed
+    radius-n disk, so every completion of seed plus ball has that same
+    ball.  When the seed is the bare center alone, an isometry about the
+    center maps completions onto completions, so one witness search
+    settles a whole isometry class; otherwise each raw tile set is decided
+    on its own.
+
+    budget bounds the nodes of all these searches together.  On exhaustion
+    BudgetExceeded is raised carrying the witnessed balls found so far.
     """
+    nodes = _as_budget(budget)
     found: dict[str, PatternBall] = {}
+    refuted: set[str] = set()
     seen_raw: set = set()
+    new_balls: list[PatternBall] = []
+    size = len(seed)
+    seed_tiles = set(seed.tiles)
 
     def record(p: Patch):
         try:
@@ -234,14 +274,23 @@ def complete_ball(
         # canonical minimization when the raw (translation-fixed) tile set
         # has been seen before
         raw = tuple(sorted(_raw_tile_key(t, p.eval_rad) for t in ball.tiles))
-        if raw in seen_raw:
-            return
-        seen_raw.add(raw)
-        found.setdefault(ball.key(), ball)
+        if raw not in seen_raw:
+            seen_raw.add(raw)
+            new_balls.append(ball)
 
-    reach = n + margin
-    nodes_used = 0
-    bare = not seed._vertices[center_vid].intervals and not seed.gaps(center_vid)
+    def extends(ball: PatternBall) -> bool:
+        try:
+            for t in ball.tiles:
+                if t not in seed_tiles:
+                    seed.add_tile(t)
+            return fill_disk(
+                seed, center_vid, n + margin, budget=nodes, first_only=True
+            )
+        finally:
+            _truncate(seed, size)
+
+    bare = not seed._vertices[center_vid].intervals
+    symmetric = bare and len(seed) == 0 and len(seed.vertex_ids()) == 1
     seeds: list[Placement | None]
     if bare and len(seed) == 0:
         point = seed.vertex_point(center_vid)
@@ -250,22 +299,24 @@ def complete_ball(
         seeds = [None]
     try:
         for first in seeds:
-            if first is not None:
-                try:
-                    seed.add_tile(first)
-                except ShieldError:
-                    continue
             try:
-                fill_disk(
-                    seed,
-                    center_vid,
-                    reach,
-                    budget=budget - nodes_used,
-                    on_solution=record,
-                )
-            finally:
                 if first is not None:
-                    seed.pop_tile()
+                    try:
+                        seed.add_tile(first)
+                    except ShieldError:
+                        continue
+                fill_disk(seed, center_vid, n, budget=nodes, on_solution=record)
+            finally:
+                _truncate(seed, size)
+            for ball in new_balls:
+                key = ball.key()
+                if key in found or key in refuted:
+                    continue
+                if extends(ball):
+                    found[key] = ball
+                elif symmetric:
+                    refuted.add(key)
+            new_balls.clear()
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             "node budget exhausted", partial=set(found.values())
@@ -273,9 +324,21 @@ def complete_ball(
     return set(found.values())
 
 
+def _truncate(patch: Patch, size: int) -> None:
+    """Pop tiles until `size` remain, also after a search was cut short."""
+    while len(patch) > size:
+        patch.pop_tile()
+
+
 @dataclass
 class PatternCount:
-    """P_n: how many distinct radius-n patterns exist around a vertex."""
+    """P_n: how many distinct radius-n patterns exist around a vertex.
+
+    translation_count is the number of translation classes among the images
+    of every ball under the rotations and reflections that bring one of the
+    ball's own edge directions onto the x axis.  nodes is the number of
+    search nodes (tentative tile placements) the count took.
+    """
 
     n: float
     alpha: AlphaSpec
@@ -283,6 +346,7 @@ class PatternCount:
     translation_count: int
     complete: bool = True
     patterns: set = field(default_factory=set)
+    nodes: int = 0
 
 
 def count_patterns(
@@ -302,9 +366,10 @@ def count_patterns(
     """
     patch = Patch(alpha)
     vid = patch.add_vertex(ORIGIN)
+    nodes = NodeBudget(budget)
     complete = True
     try:
-        balls = complete_ball(patch, vid, n, margin=margin, budget=budget)
+        balls = complete_ball(patch, vid, n, margin=margin, budget=nodes)
     except BudgetExceeded as exc:
         balls = exc.partial
         complete = False
@@ -318,6 +383,7 @@ def count_patterns(
         translation_count=len(tkeys),
         complete=complete,
         patterns={b.key() for b in balls} if keep else set(),
+        nodes=nodes.used,
     )
 
 

@@ -67,11 +67,6 @@ FULL_TURN = SymbolicAngle(6, 0)
 HALF_TURN = SymbolicAngle(3, 0)
 
 
-def angle_radians(x: SymbolicAngle, alpha: AlphaSpec) -> float:
-    """Numeric value of a symbolic angle; requires numeric alpha."""
-    return x.radians(alpha)
-
-
 @dataclass(frozen=True, order=True)
 class Direction:
     """An edge direction a*pi/3 + b*alpha, with a normalized into [0, 6)."""
@@ -173,18 +168,10 @@ class ExactPoint:
         z = self.eval(alpha_rad)
         return (z.real, z.imag)
 
-    def is_origin(self) -> bool:
-        return not self.coeffs
-
 
 def unit_vector(d: Direction) -> ExactPoint:
     u, v = OMEGA_POW[d.a % 6]
     return ExactPoint.from_dict({d.b: (u, v)})
-
-
-def unit_step(p: ExactPoint, d: Direction) -> ExactPoint:
-    """Exact addition of the unit vector in direction d."""
-    return p.step(d)
 
 
 def angle_sum(angles: Iterable[SymbolicAngle]) -> SymbolicAngle:

@@ -80,6 +80,20 @@ def test_overlapping_tile_rejected():
         patch.add_tile(Placement("S", ORIGIN, Direction.of(1, 0)))
 
 
+def test_overlap_without_shared_corner_rejected():
+    # a triangle hanging from the point e^(i*alpha) pokes a corner into
+    # the interior of the triangle at the origin: no shared vertex, no
+    # corner on an edge, so only the polygon overlap test can see it
+    patch = Patch(GENERIC)
+    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+    poke = Placement("T", ExactPoint.from_dict({1: (1, 0)}), Direction.of(5, 0))
+    x, y = poke.corner_xy(patch.eval_rad)[1]
+    assert 0 < y < math.sqrt(3) * min(x, 1 - x)  # strictly inside
+    with pytest.raises(OverlapError, match="interior overlap"):
+        patch.add_tile(poke)
+    assert len(patch) == 1
+
+
 def test_pop_tile_restores_state():
     patch = hex_star()
     before_gaps = {
@@ -93,6 +107,34 @@ def test_pop_tile_restores_state():
     assert before_gaps == {v: after_gaps[v] for v in before_gaps}
     # the tile can be re-added cleanly after the undo
     patch.add_tile(extra)
+    assert patch.validate().ok
+
+
+def test_pop_tile_on_fresh_patch_has_nothing_to_undo():
+    patch = Patch(GENERIC)
+    with pytest.raises(IndexError):
+        patch.pop_tile()
+
+
+def test_pop_tile_unwinds_every_add_in_order():
+    patch = hex_star()
+    assert len(patch) == 6
+    while len(patch):
+        patch.pop_tile()
+    assert patch.tiles == []
+    assert patch.boundary_edges() == []
+    # vertices created by the tiles are gone; the stack is empty again
+    assert len(patch.vertex_ids()) == 0
+    with pytest.raises(IndexError):
+        patch.pop_tile()
+
+
+def test_frozen_patch_refuses_pop_tile():
+    patch = hex_star()
+    patch.freeze()
+    with pytest.raises(ValueError, match="patch is frozen"):
+        patch.pop_tile()
+    assert len(patch) == 6
     assert patch.validate().ok
 
 

@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import pytest
 
 from shieldtiles.alpha import GENERIC, make_alpha
+from shieldtiles.errors import BudgetExceeded
 from shieldtiles.patch import Patch
 from shieldtiles.patterns import (
+    NodeBudget,
     complete_ball,
     count_patterns,
     dodecagon_cells_inside,
@@ -41,6 +44,83 @@ def test_complete_ball_generic_one_ring():
     assert len(balls) == 7
     keys = {b.key() for b in balls}
     assert len(keys) == 7
+
+
+def _bare_seed(alpha):
+    patch = Patch(alpha)
+    return patch, patch.add_vertex(ExactPoint.origin())
+
+
+def _keys_digest(keys) -> str:
+    return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
+
+
+# sha256 of the sorted canonical keys, computed by listing every
+# completion of the radius n + margin disk
+@pytest.mark.parametrize("n, alpha, count, digest", [
+    (1.0, GENERIC, 7,
+     "520e0ff7be497ebe021722d1e1a299da5713241d6d24aa54f7fbed8389176013"),
+    (0.6, RIGHT, 7,
+     "b3a67602efc6c40be74d0e4259544f2528b3b886e5e7f060ea03b43816abb17a"),
+])
+def test_pattern_keys_pinned(n, alpha, count, digest):
+    res = count_patterns(n, alpha)
+    assert res.complete
+    assert res.count == count
+    assert _keys_digest(res.patterns) == digest
+
+
+@pytest.fixture(scope="module")
+def right_two_rings():
+    return count_patterns(1.0, RIGHT)
+
+
+def test_right_shield_two_rings(right_two_rings):
+    res = right_two_rings
+    assert res.complete
+    assert (res.count, res.translation_count) == (52, 1028)
+    assert _keys_digest(res.patterns) == (
+        "b6799eac2ded75b701e67cfd8159165272ed8787edfe94b9f28c423d86e6a650"
+    )
+
+
+def test_margin_discards_balls_that_cannot_grow(right_two_rings):
+    # without a margin every ball that closes the disk counts; with the
+    # default margin only those that extend out to n + margin: 58 against
+    # 52, so a margin search that accepted every ball would show here
+    patch, vid = _bare_seed(RIGHT)
+    closed = {b.key() for b in complete_ball(patch, vid, 1.0, margin=0)}
+    assert len(closed) == 58
+    assert right_two_rings.patterns < closed
+
+
+def test_node_budget_is_exact():
+    full = count_patterns(0.6, RIGHT)
+    assert full.complete and full.nodes > 0
+    again = count_patterns(0.6, RIGHT, budget=full.nodes)
+    assert again.complete
+    assert (again.count, again.nodes) == (full.count, full.nodes)
+    short = count_patterns(0.6, RIGHT, budget=full.nodes - 1)
+    assert not short.complete
+    assert short.nodes == full.nodes - 1
+    # a partial count holds witnessed balls only
+    assert short.patterns <= full.patterns
+
+
+def test_node_budget_is_shared_by_all_searches_of_one_call():
+    patch, vid = _bare_seed(GENERIC)
+    nodes = NodeBudget(10_000)
+    balls = complete_ball(patch, vid, 1.0, budget=nodes)
+    used = nodes.used
+    assert len(balls) == 7 and 0 < used < 10_000
+    for limit in (1, used // 3, used - 1):
+        with pytest.raises(BudgetExceeded) as exc:
+            complete_ball(patch, vid, 1.0, budget=limit)
+        assert {b.key() for b in exc.value.partial} <= {b.key() for b in balls}
+        # the search that ran out of nodes left the seed as it was
+        assert len(patch) == 0 and len(patch.vertex_ids()) == 1
+    again = complete_ball(patch, vid, 1.0, budget=used)
+    assert {b.key() for b in again} == {b.key() for b in balls}
 
 
 def test_dodecagon_fillings_exactly_three():
