@@ -3,14 +3,11 @@
 Hot kernels of patch building and enumeration: convex-polygon overlap
 (separating axes), point/segment distance and polygon/point distance.
 Polygons are flat coordinate tuples (x0, y0, x1, y1, ...), convex, CCW.
-A compiled twin of this module may be selected at import time.
 """
 
 from __future__ import annotations
 
 import math
-
-IMPL = "pure"
 
 
 def convex_overlap(p1, p2, tol: float) -> bool:
@@ -73,16 +70,3 @@ def poly_point_dist(poly, px, py) -> float:
             best = d
     return 0.0 if inside else best
 
-
-def point_in_convex(poly, px, py, tol: float) -> bool:
-    """True iff the point lies in the closed polygon, fattened by tol."""
-    n = len(poly) // 2
-    for i in range(n):
-        ax = poly[2 * i]
-        ay = poly[2 * i + 1]
-        bx = poly[(2 * i + 2) % (2 * n)]
-        by = poly[(2 * i + 3) % (2 * n)]
-        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-        if cross < -tol * math.hypot(bx - ax, by - ay):
-            return False
-    return True

@@ -11,19 +11,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import AmbiguousDecimal, NoNumericValue, OutOfRange
 
 TOL = 1e-9
 
-#: alpha/pi values at which extra vertex configurations exist (right shield
-#: excluded; it gets its own flag).
-EXCEPTIONAL_FRACTIONS = (
-    Fraction(2, 5),
-    Fraction(5, 12),
-    Fraction(4, 9),
-    Fraction(5, 9),
-)
+
+@lru_cache(maxsize=None)
+def _exceptional_fractions() -> tuple[Fraction, ...]:
+    """alpha/pi values at which extra vertex configurations exist (right
+    shield excluded; it gets its own flag), as the atlas finds them."""
+    from .atlas import exceptional_alphas  # atlas imports this module
+
+    return tuple(sorted(spec.frac for spec in exceptional_alphas()))
+
+
+def __getattr__(name: str):
+    # EXCEPTIONAL_FRACTIONS is computed on first use, once atlas can load
+    if name == "EXCEPTIONAL_FRACTIONS":
+        return _exceptional_fractions()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: numeric alpha used to draw or order generic patches; any value in the
 #: open interval works, 99 degrees keeps generic output visually distinct
@@ -49,7 +58,7 @@ class AlphaSpec:
 
     @property
     def exceptional(self) -> bool:
-        return self.kind == "rational" and self.frac in EXCEPTIONAL_FRACTIONS
+        return self.kind == "rational" and self.frac in _exceptional_fractions()
 
     def radians(self) -> float:
         if self.rad is None:
@@ -97,7 +106,7 @@ def make_alpha(kind: str, *params) -> AlphaSpec:
         rad = math.radians(float(deg))
         if not math.pi / 3 + TOL < rad < 2 * math.pi / 3 - TOL:
             raise OutOfRange(f"alpha = {deg} degrees outside (60, 120)")
-        specials = [math.pi / 2] + [float(f) * math.pi for f in EXCEPTIONAL_FRACTIONS]
+        specials = [math.pi / 2] + [float(f) * math.pi for f in _exceptional_fractions()]
         for sp in specials:
             if abs(rad - sp) < TOL:
                 raise AmbiguousDecimal(

@@ -1,24 +1,13 @@
-"""Numeric geometry kernel selection.
+"""Numeric geometry kernel.
 
-Uses the compiled extension when available; falls back to the pure-Python
-implementation.  Set SHIELDTILES_PURE=1 to force the fallback (useful for
-benchmarking the two against each other).
+The package calls the predicates of `_puregeom` through this module as
+gk.<fn>, so there is one place to look them up.
 """
 
 from __future__ import annotations
 
-import os
+from ._puregeom import convex_overlap, point_segment_dist, poly_point_dist
 
-if os.environ.get("SHIELDTILES_PURE"):
-    from . import _puregeom as _impl
-else:
-    try:
-        from . import _fastgeom as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _puregeom as _impl
+IMPL = "pure"
 
-IMPL = _impl.IMPL
-convex_overlap = _impl.convex_overlap
-point_segment_dist = _impl.point_segment_dist
-poly_point_dist = _impl.poly_point_dist
-point_in_convex = _impl.point_in_convex
+__all__ = ["IMPL", "convex_overlap", "point_segment_dist", "poly_point_dist"]

@@ -4,6 +4,12 @@ A Patch stores placed tiles together with a vertex index (angular corner
 intervals per vertex), an edge index, and spatial hashes for the numeric
 checks.  Vertices are identified by exact coefficient maps for generic
 alpha and by tolerance snapping for numeric alpha.
+
+Every placement check looks only at nearby tiles.  Edges are unit
+segments, so a point can lie on an edge only within 1/2 + GEOM_TOL of its
+midpoint; edges are hashed by the unit cell of their midpoint.  Two tiles
+can overlap only if their bounding discs meet.  The set of boundary edges
+and the gaps at each vertex are kept up to date as tiles come and go.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ TWO_PI = 2.0 * math.pi
 GEOM_TOL = 1e-6  # numeric coincidence tolerance at unit scale
 SNAP_CELL = 1e-3  # snap-grid cell for vertex identification
 GRID = 2.0  # spatial hash cell for tile-tile checks
+# a point within GEOM_TOL of a unit edge is this close to its midpoint
+NEAR_MID2 = (0.5 + GEOM_TOL) ** 2
 
 TILE_LABEL_SEQ = {"T": "TTT", "S": "ABABAB"}
 
@@ -225,10 +233,19 @@ class Patch:
         self._key2vid: dict = {}
         self._snap: dict = {}  # cell -> list of vids, numeric alpha only
         self._edges: dict[tuple[int, int], list[int]] = {}
+        # edges with exactly one tile, in no meaningful order
+        self._boundary: dict[tuple[int, int], None] = {}
+        # unit cell of an edge's midpoint -> [(mx, my, ax, ay, bx, by), ...]
+        self._mid: dict[tuple[int, int], list[tuple]] = {}
         self._tile_keys: set = set()
+        # per tile: mean of its corners and greatest corner distance from it
+        self._tile_discs: list[tuple[float, float, float]] = []
         self._grid: dict[tuple[int, int], list[int]] = {}
         self._vgrid: dict[tuple[int, int], list[int]] = {}
         self._atlas = atlas_words(alpha)
+        # vid -> (gaps, index in the sorted intervals of the one before each
+        # gap); dropped whenever the vertex's intervals change
+        self._gap_cache: dict[int, tuple] = {}
         # one entry of reversible effects per add_tile, for pop_tile
         self._undo: list[tuple] = []
         self._frozen = False
@@ -283,6 +300,48 @@ class Patch:
                 out.extend(self._vgrid.get((cx + dx, cy + dy), ()))
         return out
 
+    def _inside_some_edge(self, x, y) -> bool:
+        """True iff (x, y) lies strictly inside an edge of the patch."""
+        cx, cy = math.floor(x), math.floor(y)
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                segs = self._mid.get((cx + dx, cy + dy))
+                if not segs:
+                    continue
+                for mx, my, ax, ay, bx, by in segs:
+                    ux, uy = x - mx, y - my
+                    if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(
+                        x, y, ax, ay, bx, by
+                    ):
+                        return True
+        return False
+
+    def _vertex_inside_edge(self, ax, ay, bx, by) -> bool:
+        """True iff a vertex of the patch lies strictly inside edge ab."""
+        mx, my = (ax + bx) / 2, (ay + by) / 2
+        for vid in self._vids_near(mx, my):
+            px, py = self._vertices[vid].xy
+            ux, uy = px - mx, py - my
+            if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(
+                px, py, ax, ay, bx, by
+            ):
+                return True
+        return False
+
+    def _overlaps(self, flat, disc, ids):
+        """Tiles among ids whose interior meets the polygon flat.
+
+        disc is (cx, cy, r) with every corner of flat within r of (cx, cy);
+        a tile whose disc it does not meet is passed over."""
+        cx, cy, r = disc
+        for tid in ids:
+            ox, oy, orad = self._tile_discs[tid]
+            reach = r + orad + GEOM_TOL
+            if (ox - cx) ** 2 + (oy - cy) ** 2 < reach * reach and (
+                gk.convex_overlap(flat, self._tile_polys[tid], GEOM_TOL)
+            ):
+                yield tid
+
     # -- construction ------------------------------------------------------
 
     def tile_xys(self, pl: Placement) -> list[tuple[float, float]]:
@@ -297,6 +356,7 @@ class Patch:
         s = start.value(self.eval_rad)
         e = s + ang.value(self.eval_rad)
         self._vertices[vid].intervals.append((s, e, start, ang, None, "#"))
+        self._gap_cache.pop(vid, None)
         self._report = None
         return vid
 
@@ -343,40 +403,14 @@ class Patch:
             ek = (min(u, v), max(u, v))
             if len(self._edges.get(ek, ())) >= 2:
                 raise OverlapError(f"edge {ek} already shared by two tiles")
-        # T-junctions: new corners against old edges
+        # T-junctions: new corners against old edges, old corners
+        # against new edges
         for xy in xys:
-            for tid in self._tile_ids_near(*xy):
-                poly = self._tile_polys[tid]
-                m = len(poly) // 2
-                for j in range(m):
-                    ax, ay = poly[2 * j], poly[2 * j + 1]
-                    bx, by = poly[(2 * j + 2) % (2 * m)], poly[(2 * j + 3) % (2 * m)]
-                    d = gk.point_segment_dist(xy[0], xy[1], ax, ay, bx, by)
-                    if d < GEOM_TOL:
-                        if (
-                            math.hypot(xy[0] - ax, xy[1] - ay) > GEOM_TOL
-                            and math.hypot(xy[0] - bx, xy[1] - by) > GEOM_TOL
-                        ):
-                            raise EdgeMismatchError(
-                                "tile corner lands inside an existing edge"
-                            )
-        # old corners against new edges
-        flat = tuple(c for xy in xys for c in xy)
+            if self._inside_some_edge(*xy):
+                raise EdgeMismatchError("tile corner lands inside an existing edge")
         for i in range(n):
-            ax, ay = xys[i]
-            bx, by = xys[(i + 1) % n]
-            mx, my = (ax + bx) / 2, (ay + by) / 2
-            for vid in self._vids_near(mx, my):
-                px, py = self._vertices[vid].xy
-                d = gk.point_segment_dist(px, py, ax, ay, bx, by)
-                if d < GEOM_TOL:
-                    if (
-                        math.hypot(px - ax, py - ay) > GEOM_TOL
-                        and math.hypot(px - bx, py - by) > GEOM_TOL
-                    ):
-                        raise EdgeMismatchError(
-                            "existing vertex lies inside a new edge"
-                        )
+            if self._vertex_inside_edge(*xys[i], *xys[(i + 1) % n]):
+                raise EdgeMismatchError("existing vertex lies inside a new edge")
         # angular overlap at shared vertices
         new_intervals: list[tuple[int, tuple]] = []
         for (xy, vid, (lab, d_out, ang)) in zip(xys, vids, dirs):
@@ -388,11 +422,12 @@ class Patch:
                         raise OverlapError("angular overlap at a shared vertex")
             new_intervals.append((vid, (s, e, d_out, ang, len(self.tiles), lab)))
         # polygon overlap against nearby tiles
-        cxm = sum(x for x, _ in xys) / n
-        cym = sum(y for _, y in xys) / n
-        for tid in set(self._tile_ids_near(cxm, cym)):
-            if gk.convex_overlap(flat, self._tile_polys[tid], GEOM_TOL):
-                raise OverlapError(f"interior overlap with tile {tid}")
+        flat = tuple(c for xy in xys for c in xy)
+        disc = _disc(xys)
+        near = set(self._tile_ids_near(disc[0], disc[1]))
+        tid = next(self._overlaps(flat, disc, near), None)
+        if tid is not None:
+            raise OverlapError(f"interior overlap with tile {tid}")
         # interior closure / atlas check (tentative star words)
         touched = {}
         for vid, iv in new_intervals:
@@ -425,15 +460,25 @@ class Patch:
         self.tiles.append(pl)
         self._tile_vids.append(real_vids)
         self._tile_polys.append(flat)
+        self._tile_discs.append(disc)
         if key is not None:
             self._tile_keys.add(key)
         for i in range(n):
             u, v = real_vids[i], real_vids[(i + 1) % n]
             ek = (min(u, v), max(u, v))
-            self._edges.setdefault(ek, []).append(tidx)
+            ts = self._edges.get(ek)
+            if ts is not None:
+                ts.append(tidx)
+                del self._boundary[ek]
+                continue
+            self._edges[ek] = [tidx]
+            self._boundary[ek] = None
+            mcell, seg = _mid_entry(*xys[i], *xys[(i + 1) % n])
+            self._mid.setdefault(mcell, []).append(seg)
         for vid, iv in new_intervals:
             self._vertices[vid].intervals.append(iv)
-        cell = (math.floor(cxm / GRID), math.floor(cym / GRID))
+            self._gap_cache.pop(vid, None)
+        cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
         self._grid.setdefault(cell, []).append(tidx)
         self._undo.append((journal, real_vids, key, cell))
         self._report = None
@@ -445,21 +490,32 @@ class Patch:
             raise ValueError("patch is frozen")
         journal, vids, key, cell = self._undo.pop()
         tidx = len(self.tiles) - 1
-        pl = self.tiles.pop()
+        self.tiles.pop()
         self._tile_vids.pop()
-        self._tile_polys.pop()
+        poly = self._tile_polys.pop()
+        self._tile_discs.pop()
         if key is not None:
             self._tile_keys.discard(key)
         n = len(vids)
         for i in range(n):
             u, v = vids[i], vids[(i + 1) % n]
             ek = (min(u, v), max(u, v))
-            self._edges[ek].remove(tidx)
-            if not self._edges[ek]:
-                del self._edges[ek]
+            ts = self._edges[ek]
+            ts.remove(tidx)
+            if ts:
+                self._boundary[ek] = None
+                continue
+            # tiles are popped last in, first out, so an edge left without
+            # tiles was brought in by this tile, from these coordinates
+            del self._edges[ek]
+            del self._boundary[ek]
+            j = (i + 1) % n
+            mcell, seg = _mid_entry(*poly[2 * i:2 * i + 2], *poly[2 * j:2 * j + 2])
+            self._mid[mcell].remove(seg)
         for vid in set(vids):
             vtx = self._vertices[vid]
             vtx.intervals = [iv for iv in vtx.intervals if iv[4] != tidx]
+            self._gap_cache.pop(vid, None)
         self._grid[cell].remove(tidx)
         for entry in reversed(journal):
             _, vid, point, xy, vcell = entry
@@ -516,19 +572,28 @@ class Patch:
             return None
         return canonical_word("".join(iv[5] for iv in ivs))
 
-    def gaps(self, vid: int) -> list[tuple[Direction, SymbolicAngle, float]]:
+    def gaps(self, vid: int) -> tuple[tuple[Direction, SymbolicAngle, float], ...]:
         """Open angular gaps at a vertex: (start direction, extent, extent rad).
 
         The start direction of a gap is the end ray of the interval that
         precedes it counterclockwise.
         """
+        return self._gap_scan(vid)[0]
+
+    def _gap_scan(self, vid: int) -> tuple:
+        """(gaps, index in the sorted intervals of the one before each gap)."""
+        scan = self._gap_cache.get(vid)
+        if scan is None:
+            scan = self._gap_cache[vid] = self._scan_gaps(vid)
+        return scan
+
+    def _scan_gaps(self, vid: int) -> tuple:
         ivs = sorted(self._vertices[vid].intervals)
-        if not ivs:
-            return []
         total = sum(iv[1] - iv[0] for iv in ivs)
-        if abs(total - TWO_PI) < 1e-7:
-            return []
-        out = []
+        if not ivs or abs(total - TWO_PI) < 1e-7:
+            return _NO_GAPS
+        gaps = []
+        after = []
         m = len(ivs)
         for i in range(m):
             s, e, start, ang, _t, _lab = ivs[i]
@@ -543,12 +608,14 @@ class Patch:
             raw = nxt[2].minus(end_dir)
             # normalize the symbolic extent to match the numeric gap
             k = round((gap_num - raw.value(self.eval_rad)) / TWO_PI)
-            gap_sym = SymbolicAngle(raw.a + 6 * k, raw.b)
-            out.append((end_dir, gap_sym, gap_num))
-        return out
+            gaps.append((end_dir, SymbolicAngle(raw.a + 6 * k, raw.b), gap_num))
+            after.append(i)
+        return tuple(gaps), tuple(after)
 
     def boundary_edges(self):
-        return [ek for ek, ts in self._edges.items() if len(ts) == 1]
+        """Edges with exactly one tile, as a live read-only view: do not add
+        or pop tiles while iterating over it."""
+        return self._boundary.keys()
 
     def edge_tiles(self, ek):
         return self._edges.get(ek, [])
@@ -556,23 +623,17 @@ class Patch:
     def star_blocks(self, vid: int):
         """Cyclic (word | gap) blocks at a vertex, for atlas matching."""
         ivs = sorted(self._vertices[vid].intervals)
+        gaps, after = self._gap_scan(vid)
         blocks = []
-        m = len(ivs)
         run = ""
-        for i in range(m):
-            s, e, start, ang, tidx, lab = ivs[i]
-            run += lab
-            nxt = ivs[(i + 1) % m]
-            gap_num = (nxt[0] - e) % TWO_PI
-            if i == m - 1:
-                gap_num = (ivs[0][0] + TWO_PI - e) % TWO_PI
-            if 1e-7 < gap_num < TWO_PI - 1e-7:
+        k = 0
+        for i, iv in enumerate(ivs):
+            run += iv[5]
+            if k < len(after) and after[k] == i:
                 blocks.append(("word", run))
+                blocks.append(("gap", gaps[k][1]))
                 run = ""
-                end_dir = start.plus(ang)
-                raw = nxt[2].minus(end_dir)
-                k = round((gap_num - raw.value(self.eval_rad)) / TWO_PI)
-                blocks.append(("gap", SymbolicAngle(raw.a + 6 * k, raw.b)))
+                k += 1
         if run:
             # the star wraps with no gap at the seam: merge into first block
             if blocks and blocks[0][0] == "word":
@@ -605,16 +666,14 @@ class Patch:
         for ek, ts in self._edges.items():
             if len(ts) > 2:
                 rep.add("edge_overuse", f"edge {ek} has {len(ts)} tiles")
+        for vid, v in enumerate(self._vertices):
+            if self._inside_some_edge(*v.xy):
+                rep.add("t_junction", f"vertex {vid} lies inside an edge")
         # pairwise interior overlap via the spatial hash
-        for i in range(len(self.tiles)):
-            xi = self._tile_polys[i]
-            cx = sum(xi[0::2]) / (len(xi) // 2)
-            cy = sum(xi[1::2]) / (len(xi) // 2)
-            for j in self._tile_ids_near(cx, cy):
-                if j >= i:
-                    continue
-                if gk.convex_overlap(xi, self._tile_polys[j], GEOM_TOL):
-                    rep.add("overlap", f"tiles {j} and {i} overlap")
+        for i, disc in enumerate(self._tile_discs):
+            near = [j for j in self._tile_ids_near(disc[0], disc[1]) if j < i]
+            for j in self._overlaps(self._tile_polys[i], disc, near):
+                rep.add("overlap", f"tiles {j} and {i} overlap")
         # interior vertex stars belong to the atlas
         for vid in self.vertex_ids():
             v = self._vertices[vid]
@@ -674,6 +733,32 @@ class Patch:
             radius=n,
             tiles=tuple(tiles),
         )
+
+
+_NO_GAPS = ((), ())
+
+
+def _disc(xys) -> tuple[float, float, float]:
+    """Mean of the corners and the greatest corner distance from it."""
+    n = len(xys)
+    cx = sum(x for x, _ in xys) / n
+    cy = sum(y for _, y in xys) / n
+    return cx, cy, max(math.hypot(x - cx, y - cy) for x, y in xys)
+
+
+def _mid_entry(ax, ay, bx, by):
+    """Midpoint-index cell and entry of the edge from a to b."""
+    mx, my = (ax + bx) / 2, (ay + by) / 2
+    return (math.floor(mx), math.floor(my)), (mx, my, ax, ay, bx, by)
+
+
+def _strictly_inside(px, py, ax, ay, bx, by) -> bool:
+    """True iff the point lies on segment ab, away from both ends."""
+    return (
+        gk.point_segment_dist(px, py, ax, ay, bx, by) < GEOM_TOL
+        and math.hypot(px - ax, py - ay) > GEOM_TOL
+        and math.hypot(px - bx, py - by) > GEOM_TOL
+    )
 
 
 def _circular_overlap(s1, e1, s2, e2) -> float:

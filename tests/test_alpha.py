@@ -83,3 +83,17 @@ def test_decimal_roundtrip(deg):
     a = make_alpha("decimal", deg)
     assert a.radians() == pytest.approx(math.radians(deg))
     assert math.pi / 3 < a.radians() < 2 * math.pi / 3
+
+
+def test_exceptional_fractions_come_from_the_atlas():
+    from fractions import Fraction
+
+    from shieldtiles import alpha
+    from shieldtiles.atlas import exceptional_alphas
+
+    assert alpha.EXCEPTIONAL_FRACTIONS == (
+        Fraction(2, 5), Fraction(5, 12), Fraction(4, 9), Fraction(5, 9),
+    )
+    assert set(alpha.EXCEPTIONAL_FRACTIONS) == {
+        spec.frac for spec in exceptional_alphas()
+    }

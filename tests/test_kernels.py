@@ -1,8 +1,4 @@
 import math
-import os
-import random
-import subprocess
-import sys
 
 import pytest
 
@@ -14,61 +10,8 @@ DOWN = (0.0, 0.0, 0.5, -H, 1.0, 0.0)  # its mirror image below
 SQUARE = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
 
 
-def _fastgeom():
-    return pytest.importorskip(
-        "shieldtiles._fastgeom", reason="compiled kernel not built"
-    )
-
-
-def _random_convex(rng, n):
-    cx, cy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-    rot = rng.uniform(0, 2 * math.pi)
-    r = rng.uniform(0.4, 1.5)
-    return tuple(
-        c
-        for i in range(n)
-        for c in (
-            cx + r * math.cos(rot + 2 * math.pi * i / n),
-            cy + r * math.sin(rot + 2 * math.pi * i / n),
-        )
-    )
-
-
-def test_kernel_parity_on_random_inputs():
-    fastgeom = _fastgeom()
-    rng = random.Random(20240817)
-    tol = 1e-6
-    for _ in range(3000):
-        a = _random_convex(rng, rng.choice((3, 4, 6)))
-        b = _random_convex(rng, rng.choice((3, 4, 6)))
-        px, py = rng.uniform(-4, 4), rng.uniform(-4, 4)
-        assert fastgeom.convex_overlap(a, b, tol) == _puregeom.convex_overlap(
-            a, b, tol
-        )
-        assert fastgeom.poly_point_dist(a, px, py) == pytest.approx(
-            _puregeom.poly_point_dist(a, px, py), abs=1e-12
-        )
-        assert fastgeom.point_in_convex(a, px, py, tol) == (
-            _puregeom.point_in_convex(a, px, py, tol)
-        )
-        assert fastgeom.point_segment_dist(
-            px, py, a[0], a[1], a[2], a[3]
-        ) == pytest.approx(
-            _puregeom.point_segment_dist(px, py, a[0], a[1], a[2], a[3]),
-            abs=1e-12,
-        )
-
-
 def _shifted(poly, dx, dy):
     return tuple(c + (dy if i % 2 else dx) for i, c in enumerate(poly))
-
-
-def test_touching_tiles_do_not_overlap():
-    fastgeom = _fastgeom()
-    for mod in (fastgeom, _puregeom):
-        assert not mod.convex_overlap(UP, DOWN, 1e-6)
-        # pushed into each other by more than the tolerance: real overlap
-        assert mod.convex_overlap(UP, _shifted(DOWN, 0.0, 0.001), 1e-6)
 
 
 def test_pure_point_segment_dist():
@@ -122,17 +65,3 @@ def test_pure_poly_point_dist():
     assert ppd(UP, 0.5, H + 2.0) == pytest.approx(2.0)
     assert ppd(UP, 0.5, H / 3) == 0.0
 
-
-def test_selector_env_override():
-    _fastgeom()
-    code = "from shieldtiles.geomkernel import IMPL; print(IMPL)"
-    env = dict(os.environ, SHIELDTILES_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "pure"
-    env.pop("SHIELDTILES_PURE")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "compiled"

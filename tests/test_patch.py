@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from shieldtiles import patch as patch_module
 from shieldtiles.alpha import GENERIC, make_alpha
-from shieldtiles.errors import IncompleteCoverage, OverlapError
+from shieldtiles.errors import EdgeMismatchError, IncompleteCoverage, OverlapError
 from shieldtiles.patch import (
+    FloatPoint,
     Patch,
     PatternBall,
     Placement,
@@ -122,7 +124,7 @@ def test_pop_tile_unwinds_every_add_in_order():
     while len(patch):
         patch.pop_tile()
     assert patch.tiles == []
-    assert patch.boundary_edges() == []
+    assert not patch.boundary_edges()
     # vertices created by the tiles are gone; the stack is empty again
     assert len(patch.vertex_ids()) == 0
     with pytest.raises(IndexError):
@@ -219,3 +221,62 @@ def test_validate_reports_open_gap_vertices():
     report = patch.validate()
     assert report.ok  # a lone tile is a valid partial patch
     assert patch.gaps(patch.add_vertex(ORIGIN))
+
+
+def test_validate_reports_corner_inside_an_edge(monkeypatch):
+    # the corner (1/2, 0) of the lower triangle lies inside the base edge
+    # of the upper one; add_tile refuses it, so it is planted with the
+    # edge test switched off, and validate must find it again
+    patch = Patch(ALPHA_NUM)
+    patch.add_tile(Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0)))
+    lower = Placement("T", FloatPoint(0.5, 0.0), Direction.of(4, 0))
+    with pytest.raises(EdgeMismatchError):
+        patch.add_tile(lower)
+    assert patch.validate().ok
+    with monkeypatch.context() as m:
+        m.setattr(patch_module, "_strictly_inside", lambda *args: False)
+        patch.add_tile(lower)
+    report = patch.validate()
+    assert [v.kind for v in report.violations] == ["t_junction"]
+    assert "vertex 3 lies inside an edge" in str(report)
+
+
+def test_add_blocked_updates_cached_gaps():
+    patch = Patch(GENERIC)
+    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+    vid = patch.add_vertex(ORIGIN)
+    assert patch.gaps(vid) == (
+        (Direction.of(1, 0), SymbolicAngle(5, 0), pytest.approx(5 * math.pi / 3)),
+    )
+    patch.add_blocked(ORIGIN, Direction.of(1, 0), SymbolicAngle(2, 0))
+    assert patch.gaps(vid) == (
+        (Direction.of(3, 0), SymbolicAngle(3, 0), pytest.approx(math.pi)),
+    )
+    assert patch.star_blocks(vid) == [("word", "T#"), ("gap", SymbolicAngle(3, 0))]
+
+
+@pytest.mark.parametrize("upper_first", [True, False])
+def test_corner_near_the_end_of_an_edge_rejected(upper_first):
+    # the lower triangle's top corner (0.99, 0) lies inside the base edge of
+    # the upper triangle, 0.49 from its midpoint; in either order of
+    # placement the second tile must be refused
+    upper = Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0))
+    lower = Placement("T", FloatPoint(0.99, 0.0), Direction.of(4, 0))
+    first, second = (upper, lower) if upper_first else (lower, upper)
+    patch = Patch(ALPHA_NUM)
+    patch.add_tile(first)
+    with pytest.raises(EdgeMismatchError):
+        patch.add_tile(second)
+    assert len(patch) == 1
+
+
+def test_tip_to_tip_overlap_rejected():
+    # an upside-down triangle whose lower tip pokes 0.01 into the upper tip
+    # of the triangle below: the two bounding discs overlap by only 0.01
+    patch = Patch(ALPHA_NUM)
+    patch.add_tile(Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0)))
+    tip = math.sqrt(3) / 2
+    poke = Placement("T", FloatPoint(0.5, tip - 0.01), Direction.of(1, 0))
+    with pytest.raises(OverlapError, match="interior overlap"):
+        patch.add_tile(poke)
+    assert len(patch) == 1
