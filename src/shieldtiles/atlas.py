@@ -8,7 +8,6 @@ the search space is a small box and the atlas is computed by exhaustion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,8 +19,9 @@ from .symbolic import (
     ANGLE_B,
     ANGLE_T,
     SymbolicAngle,
-    angle_units,
+    angle_sum,
     full_turn_check,
+    same_angle,
 )
 
 LABEL_ANGLES = {"A": ANGLE_A, "B": ANGLE_B, "T": ANGLE_T}
@@ -150,56 +150,21 @@ def exceptional_alphas(include_right: bool = False) -> dict[AlphaSpec, VertexCou
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def gap_feasible(gap: SymbolicAngle, alpha: AlphaSpec) -> bool:
     """True iff gap = p*alpha + q*beta + r*pi/3 has a non-negative solution.
 
     This is the mechanical version of the completion argument: a frontier
-    gap that no corner combination can fill exactly kills the branch.
+    gap that no corner combination can fill exactly kills the branch.  A gap
+    is less than a full turn, so the counts of a solution lie in the atlas
+    box p <= P_MAX, q <= Q_MAX, r <= R_MAX.
     """
-    if alpha.kind == "generic":
-        # b-components: p - q = gap.b ; a-components: 4q + r = gap.a
-        if gap.a < 0:
-            return False
-        for q in range(gap.a // 4 + 1):
-            p = gap.b + q
-            r = gap.a - 4 * q
-            if p >= 0 and r >= 0:
-                return True
-        return False
-    if alpha.kind == "rational":
-        frac = alpha.frac
-        target = angle_units(gap, frac)
-        return _units_feasible(target, frac)
-    # decimal: small bounded numeric knapsack
-    val = gap.value(alpha.radians())
-    if val < -1e-9:
-        return False
-    a = alpha.radians()
-    b = 4 * math.pi / 3 - a
-    t = math.pi / 3
-    for p in range(int(val / a) + 2):
-        for q in range(int(val / b) + 2):
-            rem = val - p * a - q * b
-            if rem < -1e-9:
-                continue
-            r = round(rem / t)
-            if r >= 0 and abs(rem - r * t) < 1e-9:
-                return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _units_feasible(target: int, frac: Fraction) -> bool:
-    # corner sizes in units of pi/(3t): A = 3s, B = 4t-3s, T = t
-    s, t = frac.numerator, frac.denominator
-    ua, ub, ut = 3 * s, 4 * t - 3 * s, t
-    if target < 0:
-        return False
-    for p in range(target // ua + 1):
-        for q in range((target - p * ua) // ub + 1):
-            if (target - p * ua - q * ub) % ut == 0:
-                return True
-    return False
+    return any(
+        same_angle(gap, p * ANGLE_A + q * ANGLE_B + r * ANGLE_T, alpha)
+        for p in range(P_MAX + 1)
+        for q in range(Q_MAX + 1)
+        for r in range(R_MAX + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +189,7 @@ def star_completable(
 
 
 def _angles_value_eq(x: SymbolicAngle, y_letters: str, alpha: AlphaSpec) -> bool:
-    total = SymbolicAngle(0, 0)
-    for c in y_letters:
-        total = total + LABEL_ANGLES[c]
-    if alpha.kind == "generic":
-        return total == x
-    if alpha.kind == "rational":
-        return angle_units(total, alpha.frac) == angle_units(x, alpha.frac)
-    return abs(total.value(alpha.radians()) - x.value(alpha.radians())) < 1e-9
+    return same_angle(x, angle_sum(LABEL_ANGLES[c] for c in y_letters), alpha)
 
 
 def _match_star(blocks, word: str, alpha: AlphaSpec) -> bool:

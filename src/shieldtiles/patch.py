@@ -3,7 +3,9 @@
 A Patch stores placed tiles together with a vertex index (angular corner
 intervals per vertex), an edge index, and spatial hashes for the numeric
 checks.  Vertices are identified by exact coefficient maps for generic
-alpha and by tolerance snapping for numeric alpha.
+alpha.  For numeric alpha two points are one vertex when both coordinates
+agree within GEOM_TOL; the candidates are the vertices of the 3x3 block of
+unit cells around the point.
 
 Every placement check looks only at nearby tiles.  Edges are unit
 segments, so a point can lie on an edge only within 1/2 + GEOM_TOL of its
@@ -34,13 +36,19 @@ from .symbolic import (
     Direction,
     ExactPoint,
     SymbolicAngle,
+    angle_sum,
     unit_vector,
 )
 
 TWO_PI = 2.0 * math.pi
 GEOM_TOL = 1e-6  # numeric coincidence tolerance at unit scale
-SNAP_CELL = 1e-3  # snap-grid cell for vertex identification
-GRID = 2.0  # spatial hash cell for tile-tile checks
+# spatial hash cell for tile-tile checks: a 3x3 block of cells holds every
+# tile whose corner mean is within GRID of a point.  A shield's corners lie
+# within 2/sqrt(3) of their mean, so two tiles whose bounding discs meet have
+# corner means less than 4/sqrt(3) + GEOM_TOL ~ 2.3094 apart.
+GRID = 2.32
+# corner angles within this of 2*pi close a full turn
+TURN_TOL = 1e-7
 # a point within GEOM_TOL of a unit edge is this close to its midpoint
 NEAR_MID2 = (0.5 + GEOM_TOL) ** 2
 
@@ -231,13 +239,11 @@ class Patch:
         self._tile_polys: list[tuple] = []
         self._vertices: list[_Vertex] = []
         self._key2vid: dict = {}
-        self._snap: dict = {}  # cell -> list of vids, numeric alpha only
         self._edges: dict[tuple[int, int], list[int]] = {}
         # edges with exactly one tile, in no meaningful order
         self._boundary: dict[tuple[int, int], None] = {}
         # unit cell of an edge's midpoint -> [(mx, my, ax, ay, bx, by), ...]
         self._mid: dict[tuple[int, int], list[tuple]] = {}
-        self._tile_keys: set = set()
         # per tile: mean of its corners and greatest corner distance from it
         self._tile_discs: list[tuple[float, float, float]] = []
         self._grid: dict[tuple[int, int], list[int]] = {}
@@ -256,13 +262,11 @@ class Patch:
     def _find_vid(self, xy, point=None):
         if self.exact_keys:
             return self._key2vid.get(point.coeffs)
-        cx, cy = round(xy[0] / SNAP_CELL), round(xy[1] / SNAP_CELL)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for vid in self._snap.get((cx + dx, cy + dy), ()):
-                    ex, ey = self._vertices[vid].xy
-                    if abs(ex - xy[0]) < GEOM_TOL and abs(ey - xy[1]) < GEOM_TOL:
-                        return vid
+        x, y = xy
+        for vid in self._vids_near(x, y):
+            ex, ey = self._vertices[vid].xy
+            if abs(ex - x) < GEOM_TOL and abs(ey - y) < GEOM_TOL:
+                return vid
         return None
 
     def _get_or_make_vid(self, xy, point, journal=None):
@@ -273,13 +277,10 @@ class Patch:
         self._vertices.append(_Vertex(point, xy))
         if self.exact_keys:
             self._key2vid[point.coeffs] = vid
-        else:
-            cell = (round(xy[0] / SNAP_CELL), round(xy[1] / SNAP_CELL))
-            self._snap.setdefault(cell, []).append(vid)
-        vcell = (math.floor(xy[0] / 1.0), math.floor(xy[1] / 1.0))
+        vcell = (math.floor(xy[0]), math.floor(xy[1]))
         self._vgrid.setdefault(vcell, []).append(vid)
         if journal is not None:
-            journal.append(("vertex", vid, point, xy, vcell))
+            journal.append(("vertex", vid, point, vcell))
         return vid
 
     # -- geometry helpers ------------------------------------------------
@@ -372,27 +373,16 @@ class Patch:
         xys = self.tile_xys(pl)
         pts = pl.corner_points() if pl.is_exact else [None] * len(xys)
         dirs = pl.corner_dirs()
-        key = None
-        if pl.is_exact:
-            key = _placement_sort_key(pl.canonical())
-            if key in self._tile_keys:
-                raise OverlapError("duplicate tile")
 
         # -- checks on a scratch view (no mutation yet) --
+        # corners not in the patch yet get the ids they will be given (the
+        # corners of one tile never coincide)
         vids = []
-        new_pts = {}
         next_vid = len(self._vertices)
         for xy, pt in zip(xys, pts):
             vid = self._find_vid(xy, pt)
             if vid is None:
-                # tentatively number unseen corners (dedup within the tile)
-                for (oxy, ovid) in new_pts.items():
-                    if abs(oxy[0] - xy[0]) < GEOM_TOL and abs(oxy[1] - xy[1]) < GEOM_TOL:
-                        vid = ovid
-                        break
-            if vid is None:
                 vid = next_vid
-                new_pts[tuple(xy)] = vid
                 next_vid += 1
             vids.append(vid)
 
@@ -411,7 +401,7 @@ class Patch:
         for i in range(n):
             if self._vertex_inside_edge(*xys[i], *xys[(i + 1) % n]):
                 raise EdgeMismatchError("existing vertex lies inside a new edge")
-        # angular overlap at shared vertices
+        # angular overlap at shared vertices; this also refuses a duplicate
         new_intervals: list[tuple[int, tuple]] = []
         for (xy, vid, (lab, d_out, ang)) in zip(xys, vids, dirs):
             s = d_out.value(self.eval_rad)
@@ -428,24 +418,15 @@ class Patch:
         tid = next(self._overlaps(flat, disc, near), None)
         if tid is not None:
             raise OverlapError(f"interior overlap with tile {tid}")
-        # interior closure / atlas check (tentative star words)
-        touched = {}
+        # tentative stars at the vertices already in the patch
         for vid, iv in new_intervals:
-            touched.setdefault(vid, []).append(iv)
-        for vid, ivs in touched.items():
             if vid >= len(self._vertices):
                 continue
-            old = self._vertices[vid].intervals
-            allivs = sorted(old + ivs)
-            total = sum(iv[1] - iv[0] for iv in allivs)
-            if total > TWO_PI + 1e-7:
+            fault, word = self._star_verdict(self._vertices[vid].intervals + [iv])
+            if fault == "overlap":
                 raise OverlapError("corner angles exceed a full turn")
-            if abs(total - TWO_PI) < 1e-7:
-                if any(iv[4] is None for iv in allivs):
-                    continue  # blocked sectors are not atlas-checked
-                word = canonical_word("".join(iv[5] for iv in allivs))
-                if word not in self._atlas:
-                    raise AtlasViolation(f"interior star {word} not in atlas")
+            if fault == "atlas":
+                raise AtlasViolation(f"interior star {word} not in atlas")
 
         # -- commit --
         journal = []
@@ -461,8 +442,6 @@ class Patch:
         self._tile_vids.append(real_vids)
         self._tile_polys.append(flat)
         self._tile_discs.append(disc)
-        if key is not None:
-            self._tile_keys.add(key)
         for i in range(n):
             u, v = real_vids[i], real_vids[(i + 1) % n]
             ek = (min(u, v), max(u, v))
@@ -480,7 +459,7 @@ class Patch:
             self._gap_cache.pop(vid, None)
         cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
         self._grid.setdefault(cell, []).append(tidx)
-        self._undo.append((journal, real_vids, key, cell))
+        self._undo.append((journal, real_vids, cell))
         self._report = None
         return real_vids
 
@@ -488,14 +467,12 @@ class Patch:
         """Undo the most recent add_tile."""
         if self._frozen:
             raise ValueError("patch is frozen")
-        journal, vids, key, cell = self._undo.pop()
+        journal, vids, cell = self._undo.pop()
         tidx = len(self.tiles) - 1
         self.tiles.pop()
         self._tile_vids.pop()
         poly = self._tile_polys.pop()
         self._tile_discs.pop()
-        if key is not None:
-            self._tile_keys.discard(key)
         n = len(vids)
         for i in range(n):
             u, v = vids[i], vids[(i + 1) % n]
@@ -518,14 +495,11 @@ class Patch:
             self._gap_cache.pop(vid, None)
         self._grid[cell].remove(tidx)
         for entry in reversed(journal):
-            _, vid, point, xy, vcell = entry
+            _, vid, point, vcell = entry
             assert vid == len(self._vertices) - 1
             self._vertices.pop()
             if self.exact_keys:
                 del self._key2vid[point.coeffs]
-            else:
-                scell = (round(xy[0] / SNAP_CELL), round(xy[1] / SNAP_CELL))
-                self._snap[scell].remove(vid)
             self._vgrid[vcell].remove(vid)
         self._report = None
 
@@ -538,9 +512,18 @@ class Patch:
         return len(self.tiles)
 
     def has_tile(self, pl: Placement) -> bool:
-        if not pl.is_exact:
+        """True iff a tile has a corner at pl's anchor with pl's first label
+        and outgoing direction, i.e. pl is already placed."""
+        if self.exact_keys and not pl.is_exact:
             return False
-        return _placement_sort_key(pl.canonical()) in self._tile_keys
+        vid = self._find_vid(pl.anchor.xy(self.eval_rad), pl.anchor)
+        if vid is None:
+            return False
+        lab = pl.labels[0]
+        return any(
+            iv[5] == lab and iv[2] == pl.heading
+            for iv in self._vertices[vid].intervals
+        )
 
     def add_vertex(self, point: ExactPoint) -> int:
         """Register a bare vertex (a center with no tiles yet)."""
@@ -558,19 +541,25 @@ class Patch:
     def star(self, vid: int) -> VertexStar:
         return VertexStar(self, vid)
 
-    def total_angle(self, vid: int) -> float:
-        return sum(iv[1] - iv[0] for iv in self._vertices[vid].intervals)
-
-    def is_interior(self, vid: int) -> bool:
-        return abs(self.total_angle(vid) - TWO_PI) < 1e-7
-
     def interior_word(self, vid: int) -> str | None:
-        if not self.is_interior(vid):
-            return None
-        ivs = sorted(self._vertices[vid].intervals)
-        if any(iv[4] is None for iv in ivs):
-            return None
-        return canonical_word("".join(iv[5] for iv in ivs))
+        """Canonical corner word of a full star without blocked sectors."""
+        return self._star_verdict(self._vertices[vid].intervals)[1]
+
+    def _star_verdict(self, ivs) -> tuple[str | None, str | None]:
+        """(fault, word) for the corner intervals ivs around one vertex.
+
+        word is the canonical corner word when the corners close a full turn
+        with no blocked sector, else None.  fault is "overlap" when the
+        corners exceed a full turn, "atlas" when word is not in the atlas,
+        else None.
+        """
+        total = sum(iv[1] - iv[0] for iv in ivs)
+        if total > TWO_PI + TURN_TOL:
+            return "overlap", None
+        if abs(total - TWO_PI) >= TURN_TOL or any(iv[4] is None for iv in ivs):
+            return None, None
+        word = canonical_word("".join(iv[5] for iv in sorted(ivs)))
+        return (None if word in self._atlas else "atlas"), word
 
     def gaps(self, vid: int) -> tuple[tuple[Direction, SymbolicAngle, float], ...]:
         """Open angular gaps at a vertex: (start direction, extent, extent rad).
@@ -590,7 +579,7 @@ class Patch:
     def _scan_gaps(self, vid: int) -> tuple:
         ivs = sorted(self._vertices[vid].intervals)
         total = sum(iv[1] - iv[0] for iv in ivs)
-        if not ivs or abs(total - TWO_PI) < 1e-7:
+        if not ivs or abs(total - TWO_PI) < TURN_TOL:
             return _NO_GAPS
         gaps = []
         after = []
@@ -602,7 +591,7 @@ class Patch:
             if i == m - 1:
                 gap_num = (ivs[0][0] + TWO_PI - e) % TWO_PI
             # values within rounding error of 0 or 2*pi mean no gap
-            if gap_num < 1e-7 or gap_num > TWO_PI - 1e-7:
+            if gap_num < TURN_TOL or gap_num > TWO_PI - TURN_TOL:
                 continue
             end_dir = start.plus(ang)
             raw = nxt[2].minus(end_dir)
@@ -616,9 +605,6 @@ class Patch:
         """Edges with exactly one tile, as a live read-only view: do not add
         or pop tiles while iterating over it."""
         return self._boundary.keys()
-
-    def edge_tiles(self, ek):
-        return self._edges.get(ek, [])
 
     def star_blocks(self, vid: int):
         """Cyclic (word | gap) blocks at a vertex, for atlas matching."""
@@ -675,26 +661,17 @@ class Patch:
             for j in self._overlaps(self._tile_polys[i], disc, near):
                 rep.add("overlap", f"tiles {j} and {i} overlap")
         # interior vertex stars belong to the atlas
-        for vid in self.vertex_ids():
-            v = self._vertices[vid]
-            total = sum(iv[1] - iv[0] for iv in v.intervals)
-            if total > TWO_PI + 1e-7:
+        for vid, v in enumerate(self._vertices):
+            fault, word = self._star_verdict(v.intervals)
+            if fault == "overlap":
                 rep.add("overlap", f"vertex {vid} corners exceed a full turn")
-            elif abs(total - TWO_PI) < 1e-7:
-                if any(iv[4] is None for iv in v.intervals):
-                    continue
-                word = canonical_word(
-                    "".join(iv[5] for iv in sorted(v.intervals))
-                )
-                if word not in self._atlas:
-                    rep.add("atlas", f"vertex {vid} star {word} not in atlas")
-                # generic alpha: re-check the closure symbolically
-                if self.exact_keys:
-                    tot = SymbolicAngle(0, 0)
-                    for iv in v.intervals:
-                        tot = tot + iv[3]
-                    if tot != FULL_TURN:
-                        rep.add("closure", f"vertex {vid} star sum != 2pi")
+            elif fault == "atlas":
+                rep.add("atlas", f"vertex {vid} star {word} not in atlas")
+            # generic alpha: re-check the closure symbolically
+            if word is not None and self.exact_keys and (
+                angle_sum(iv[3] for iv in v.intervals) != FULL_TURN
+            ):
+                rep.add("closure", f"vertex {vid} star sum != 2pi")
         self._report = rep
         return rep
 

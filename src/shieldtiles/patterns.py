@@ -22,6 +22,7 @@ from .patch import (
     Patch,
     PatternBall,
     Placement,
+    _placement_sort_key,
     placement_with_corner,
 )
 from .symbolic import Direction, ExactPoint, SymbolicAngle
@@ -58,25 +59,20 @@ class _Search:
     """Shared state for one depth-first completion run."""
 
     patch: Patch
-    done: object  # () -> bool
-    frontier: object  # () -> list of (dist2, vid)
+    frontier: object  # () -> list of (dist2, vid); empty when complete
     budget: NodeBudget
     tile_filter: object = None
     on_solution: object = None
     first_only: bool = False
 
     def run(self) -> bool:
-        if self.done():
+        front = self.frontier()
+        if not front:
             if self.on_solution is not None:
                 self.on_solution(self.patch)
             return self.first_only
-        front = self.frontier()
-        if not front:
-            return False  # stuck: gaps remain but none are fillable here
         _d, vid = min(front)
         gaps = self.patch.gaps(vid)
-        if not gaps:
-            return False
         start_dir, _sym, _gn = min(
             gaps, key=lambda g: g[0].value(self.patch.eval_rad) % (2 * math.pi)
         )
@@ -111,8 +107,7 @@ class _Search:
 
 def _raw_tile_key(t: Placement, rad: float):
     if t.is_exact:
-        c = t.canonical()
-        return (c.kind, c.anchor.coeffs, c.heading.a, c.heading.b)
+        return _placement_sort_key(t.canonical())
     return (t.kind, tuple(round(c, 6) for xy in t.corner_xy(rad) for c in xy))
 
 
@@ -166,6 +161,8 @@ def fill_disk(
 ) -> bool:
     """DFS over all completions until no boundary edge meets the disk.
 
+    The patch must hold no blocked sectors: then both ends of a boundary
+    edge have an open gap, so an empty frontier means the disk is complete.
     With first_only the patch is left in the first completed state found
     and True is returned; otherwise on_solution is invoked on every
     completion and the patch is restored.  budget is a node count, or a
@@ -174,7 +171,6 @@ def fill_disk(
     cxy = patch.vertex_xy(center_vid)
     s = _Search(
         patch=patch,
-        done=lambda: not _disk_frontier_offends(patch, cxy, radius),
         frontier=lambda: _disk_frontier(patch, cxy, radius),
         budget=_as_budget(budget),
         tile_filter=tile_filter,
@@ -182,16 +178,6 @@ def fill_disk(
         first_only=first_only,
     )
     return s.run()
-
-
-def _disk_frontier_offends(patch: Patch, cxy, radius: float) -> bool:
-    cx, cy = cxy
-    for (u, v) in patch.boundary_edges():
-        ax, ay = patch.vertex_xy(u)
-        bx, by = patch.vertex_xy(v)
-        if gk.point_segment_dist(cx, cy, ax, ay, bx, by) <= radius + GEOM_TOL:
-            return True
-    return False
 
 
 def fill_region(
@@ -204,13 +190,8 @@ def fill_region(
     first_only: bool = False,
 ) -> bool:
     """DFS until no vertex has an angular gap (bounded-region filling)."""
-
-    def done():
-        return not _gap_frontier(patch, center_xy)
-
     s = _Search(
         patch=patch,
-        done=done,
         frontier=lambda: _gap_frontier(patch, center_xy),
         budget=NodeBudget(budget),
         tile_filter=tile_filter,

@@ -12,11 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .alpha import TOL, AlphaSpec
-from .errors import NoNumericValue
 
 PI3 = math.pi / 3.0
 TWO_PI = 2.0 * math.pi
@@ -54,11 +52,6 @@ class SymbolicAngle:
     def value(self, alpha_rad: float) -> float:
         return self.a * PI3 + self.b * alpha_rad
 
-    def radians(self, alpha: AlphaSpec) -> float:
-        if not alpha.is_numeric:
-            raise NoNumericValue("cannot evaluate angle at generic alpha")
-        return self.value(alpha.radians())
-
 
 ANGLE_A = SymbolicAngle(0, 1)  # alpha, the sharp shield corner
 ANGLE_B = SymbolicAngle(4, -1)  # beta = 4pi/3 - alpha
@@ -89,12 +82,6 @@ class Direction:
 
     def value(self, alpha_rad: float) -> float:
         return (self.a * PI3 + self.b * alpha_rad) % TWO_PI
-
-    def key(self, alpha: AlphaSpec):
-        """Equality key: exact for generic, 1e-9-rounded value otherwise."""
-        if alpha.is_numeric:
-            return round(self.value(alpha.radians()), 9)
-        return (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -182,17 +169,18 @@ def angle_sum(angles: Iterable[SymbolicAngle]) -> SymbolicAngle:
     return SymbolicAngle(a, b)
 
 
+def same_angle(x: SymbolicAngle, y: SymbolicAngle, alpha: AlphaSpec) -> bool:
+    """True iff x = y under the given alpha: exact for generic and rational
+    alpha, within TOL for decimal alpha."""
+    if alpha.kind == "generic":
+        return x == y
+    d = x - y
+    if alpha.kind == "rational":
+        # in units of pi/(3t) for alpha = s*pi/t
+        return d.a * alpha.frac.denominator + 3 * alpha.frac.numerator * d.b == 0
+    return abs(d.value(alpha.radians())) < TOL
+
+
 def full_turn_check(angles: Iterable[SymbolicAngle], alpha: AlphaSpec) -> bool:
     """True iff the angles sum to exactly 2*pi under the given alpha."""
-    total = angle_sum(angles)
-    if alpha.kind == "generic":
-        return total == FULL_TURN
-    if alpha.kind == "rational":
-        s, t = alpha.frac.numerator, alpha.frac.denominator
-        return total.a * t + 3 * s * total.b == 6 * t
-    return abs(total.value(alpha.radians()) - TWO_PI) < TOL
-
-
-def angle_units(x: SymbolicAngle, frac: Fraction) -> int:
-    """Angle as an integer multiple of pi/(3t) for rational alpha s*pi/t."""
-    return x.a * frac.denominator + 3 * frac.numerator * x.b
+    return same_angle(angle_sum(angles), FULL_TURN, alpha)

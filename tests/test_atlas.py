@@ -108,7 +108,10 @@ def test_configs_from_counts_as_necklaces():
     assert {c.word for c in cfgs} == {"ATBT", "ABTT"}
 
 
-@pytest.mark.parametrize("alpha", [GENERIC, RIGHT])
+@pytest.mark.parametrize(
+    "alpha",
+    [GENERIC, RIGHT, make_alpha("decimal", 110), make_alpha("rational", 5, 12)],
+)
 def test_gap_feasible_matches_bruteforce(alpha):
     # oracle: all angle sums achievable with p<=P_MAX etc. corner copies
     achievable = set()

@@ -5,7 +5,12 @@ import pytest
 
 from shieldtiles import patch as patch_module
 from shieldtiles.alpha import GENERIC, make_alpha
-from shieldtiles.errors import EdgeMismatchError, IncompleteCoverage, OverlapError
+from shieldtiles.errors import (
+    AtlasViolation,
+    EdgeMismatchError,
+    IncompleteCoverage,
+    OverlapError,
+)
 from shieldtiles.patch import (
     FloatPoint,
     Patch,
@@ -280,3 +285,52 @@ def test_tip_to_tip_overlap_rejected():
     with pytest.raises(OverlapError, match="interior overlap"):
         patch.add_tile(poke)
     assert len(patch) == 1
+
+
+@pytest.mark.parametrize(
+    "alpha, first, second",
+    [
+        (
+            make_alpha("decimal", 65),
+            ({0: (-3, -3), 1: (-2, 2)}, (0, 0)),
+            ({0: (-3, -1), 1: (-2, 4)}, (5, 0)),
+        ),
+        (
+            GENERIC,
+            ({0: (-3, -3), 1: (-3, 2)}, (0, 0)),
+            ({0: (0, -4), 1: (-1, 4)}, (2, -1)),
+        ),
+    ],
+)
+def test_overlapping_shields_in_distant_grid_cells_rejected(
+    alpha, first, second, monkeypatch
+):
+    # two overlapping shields whose corner means lie 2.0 to 2.3 apart, in
+    # cells of the tile grid that a 2-unit cell would not make neighbours;
+    # with the overlap test switched off for add_tile, validate must find
+    # the overlap
+    a, b = (
+        Placement("S", ExactPoint.from_dict(coeffs), Direction.of(*heading))
+        for coeffs, heading in (first, second)
+    )
+    patch = Patch(alpha)
+    patch.add_tile(a)
+    with pytest.raises(OverlapError, match="interior overlap"):
+        patch.add_tile(b)
+    assert len(patch) == 1
+    with monkeypatch.context() as m:
+        m.setattr(Patch, "_overlaps", lambda self, *args: iter(()))
+        patch.add_tile(b)
+    assert [v.kind for v in patch.validate().violations] == ["overlap"]
+
+
+def test_star_closing_within_tolerance_but_off_the_atlas_rejected():
+    # one microdegree above the right shield, four sharp corners close a
+    # full turn to within 7e-8 rad, which add_tile counts as closed, while
+    # the atlas (exact to 1e-9) has no AAAA word at this alpha
+    patch = Patch(make_alpha("decimal", 90 + 1e-6))
+    for k in range(3):
+        patch.add_tile(Placement("S", ORIGIN, Direction.of(0, k)))
+    with pytest.raises(AtlasViolation, match="AAAA"):
+        patch.add_tile(Placement("S", ORIGIN, Direction.of(0, 3)))
+    assert len(patch) == 3

@@ -1,14 +1,18 @@
 """Differential tests: the incremental state of a Patch against fresh scans.
 
 Random add_tile / pop_tile sequences of flush candidates are run at
-generic alpha and at pi/2.  After every step the boundary set, the edge
-midpoint index and every cached gap list must equal what a scan from
-scratch gives, and every add_tile verdict must equal the one of a brute
-force reference that checks all tiles, edges and vertices.
+generic alpha, at pi/2 and at 110 degrees.  After every step the boundary
+set, the edge midpoint index and every cached gap list must equal what a
+scan from scratch gives, and every add_tile verdict must equal the one of
+a brute force reference that checks all tiles, edges and vertices.
+has_tile must find every placed tile from each of its anchors and no
+popped one, a duplicate must be refused, and the search frontier of a
+disk must be empty exactly when no boundary edge meets the disk.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +26,12 @@ from shieldtiles.errors import (
     ShieldError,
 )
 from shieldtiles.patch import GEOM_TOL, Patch
-from shieldtiles.patterns import _flush_candidates
+from shieldtiles.patterns import _disk_frontier, _flush_candidates
 from shieldtiles.symbolic import Direction, ExactPoint
 
 ORIGIN = ExactPoint.origin()
 RIGHT = make_alpha("rational", 1, 2)
+DECIMAL = make_alpha("decimal", 110)
 TWO_PI = 2 * math.pi
 
 
@@ -152,6 +157,27 @@ def assert_state_matches_fresh_scan(patch):
         assert isinstance(patch.gaps(vid), tuple)
 
 
+def assert_has_tile_answers(patch, popped):
+    for t in patch.tiles:
+        assert all(patch.has_tile(r) for r in t.anchor_reps())
+    if popped is not None:
+        assert not any(patch.has_tile(r) for r in popped.anchor_reps())
+
+
+def assert_frontier_empty_iff_disk_closed(patch):
+    cx, cy = patch.vertex_xy(0)
+    single = [ek for ek, ts in patch._edges.items() if len(ts) == 1]
+    # edges of the tiles at the center lie at distances sqrt(3)/2 and 1
+    for r in (0.5, 0.85, math.sqrt(3) / 2, 0.99, 1.0, 2.0):
+        closed = all(
+            _puregeom.point_segment_dist(
+                cx, cy, *patch.vertex_xy(u), *patch.vertex_xy(v)
+            ) > r + GEOM_TOL
+            for u, v in single
+        )
+        assert (not _disk_frontier(patch, (cx, cy), r)) == closed
+
+
 def _close(ps, qs):
     return all(
         abs(px - qx) < GEOM_TOL and abs(py - qy) < GEOM_TOL
@@ -194,12 +220,14 @@ STEPS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(alpha=st.sampled_from([GENERIC, RIGHT]), steps=STEPS)
+@given(alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]), steps=STEPS)
 def test_incremental_state_and_verdicts_match_brute_force(alpha, steps):
     patch = Patch(alpha)
     patch.add_vertex(ORIGIN)
     for pick, which, op in steps:
+        popped = None
         if op == 0 and len(patch):
+            popped = patch.tiles[-1]
             patch.pop_tile()
         else:
             cand = _next_candidate(patch, pick, which)
@@ -212,6 +240,12 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, steps):
             assert got is want
         assert_state_matches_fresh_scan(patch)
         assert patch.validate().ok
+        assert_has_tile_answers(patch, popped)
+        assert_frontier_empty_iff_disk_closed(patch)
+        if len(patch):
+            twin = patch.tiles[pick % len(patch)].anchor_reps()[-1]
+            with pytest.raises(OverlapError):
+                patch.add_tile(twin)
     fresh = _rebuilt(patch)
     assert list(fresh.vertex_ids()) == list(patch.vertex_ids())
     for vid in patch.vertex_ids():
