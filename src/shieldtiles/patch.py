@@ -4,8 +4,8 @@ A Patch stores placed tiles together with a vertex index (angular corner
 intervals per vertex), an edge index, and spatial hashes for the numeric
 checks.  Vertices are identified by exact coefficient maps for generic
 alpha.  For numeric alpha two points are one vertex when both coordinates
-agree within GEOM_TOL; the candidates are the vertices of the 3x3 block of
-unit cells around the point.
+agree within GEOM_TOL; the candidates are the vertices in the unit cells
+that the point's +-GEOM_TOL box touches, almost always one cell.
 
 Every placement check looks only at nearby tiles.  Edges are unit
 segments, so a point can lie on an edge only within 1/2 + GEOM_TOL of its
@@ -205,28 +205,6 @@ class _Vertex:
         self.intervals: list[tuple] = []
 
 
-class VertexStar:
-    """Read-only view of the corners around one vertex."""
-
-    def __init__(self, patch: "Patch", vid: int):
-        v = patch._vertices[vid]
-        self.center = v.point
-        self.center_xy = v.xy
-        ivs = sorted(v.intervals)
-        self.corners = [
-            (iv[4], iv[5]) for iv in ivs if iv[4] is not None
-        ]  # (tile index, label) in angular order
-        self.word = "".join(lab for _t, lab in self.corners)
-        total = SymbolicAngle(0, 0)
-        for iv in ivs:
-            total = total + iv[3]
-        self.gap = FULL_TURN - total
-
-    @property
-    def canonical_word(self) -> str:
-        return canonical_word(self.word)
-
-
 class Patch:
     """A growing or frozen finite edge-to-edge arrangement."""
 
@@ -263,10 +241,12 @@ class Patch:
         if self.exact_keys:
             return self._key2vid.get(point.coeffs)
         x, y = xy
-        for vid in self._vids_near(x, y):
-            ex, ey = self._vertices[vid].xy
-            if abs(ex - x) < GEOM_TOL and abs(ey - y) < GEOM_TOL:
-                return vid
+        for cx in range(math.floor(x - GEOM_TOL), math.floor(x + GEOM_TOL) + 1):
+            for cy in range(math.floor(y - GEOM_TOL), math.floor(y + GEOM_TOL) + 1):
+                for vid in self._vgrid.get((cx, cy), ()):
+                    ex, ey = self._vertices[vid].xy
+                    if abs(ex - x) < GEOM_TOL and abs(ey - y) < GEOM_TOL:
+                        return vid
         return None
 
     def _get_or_make_vid(self, xy, point, journal=None):
@@ -538,9 +518,6 @@ class Patch:
     def vertex_point(self, vid: int):
         return self._vertices[vid].point
 
-    def star(self, vid: int) -> VertexStar:
-        return VertexStar(self, vid)
-
     def interior_word(self, vid: int) -> str | None:
         """Canonical corner word of a full star without blocked sectors."""
         return self._star_verdict(self._vertices[vid].intervals)[1]
@@ -756,7 +733,12 @@ def _circular_overlap(s1, e1, s2, e2) -> float:
 
 @dataclass(frozen=True)
 class PatternBall:
-    """The sub-patch of tiles within distance `radius` of a center vertex."""
+    """The sub-patch of tiles within distance `radius` of a center vertex.
+
+    Its keys code each tile by its kind and its corner points, relative to
+    the center (see `canonical_key`).  For numeric alpha the keys use
+    center_xy only, so center may be None.
+    """
 
     alpha: AlphaSpec
     center: ExactPoint | FloatPoint | None
@@ -780,93 +762,80 @@ class PatternBall:
 def canonical_key(ball: PatternBall, rotations: bool = True) -> str:
     """Canonical string equal for two balls iff they are isometric.
 
-    Brute force over a bounded frame set: every edge direction of the ball
-    (after optional reflection) defines a candidate rotation; tiles are
-    serialized sorted and the lexicographic minimum is returned.
+    The least image of the ball over a finite frame set (McKay, J.
+    Algorithms 26, 1998).  Each frame turns one of the tiles' edge
+    directions onto the x axis, for the ball and for its mirror image, with
+    the center at the origin.  The set moves with the ball, so isometric
+    balls have the same images.  With rotations=False the only frame is the
+    ball as it lies, which keys it up to translation.
+
+    In a frame, a tile is written as its kind and its sorted corner codes.
+    A convex polygon is the hull of its corners, so the corner set fixes
+    the tile, whatever corner it is anchored at.  A corner is coded by its
+    exact coefficient map for generic alpha and by its coordinates rounded
+    to 6 decimals otherwise.
     """
     return min(_key_candidates(ball, rotations))
 
 
-def _key_candidates(ball: PatternBall, rotations: bool):
-    if ball.alpha.kind == "generic" and all(t.is_exact for t in ball.tiles):
-        return _key_candidates_exact(ball, rotations)
-    return _key_candidates_numeric(ball, rotations)
+def _key_candidates(ball: PatternBall, rotations: bool) -> list[str]:
+    """The code of the ball in each frame of `canonical_key`.
 
-
-def _key_candidates_exact(ball: PatternBall, rotations: bool) -> list[str]:
-    center = ball.center
-    base = [t.translated(-center) for t in ball.tiles]
-    variants = [base, [t.reflected() for t in base]] if rotations else [base]
-    out = []
-    for tiles in variants:
-        if rotations:
-            dirs = set()
-            for t in tiles:
-                for _lab, d, _ang in t.corner_dirs():
-                    dirs.add((d.a, d.b))
-                    o = d.opposite()
-                    dirs.add((o.a, o.b))
-            frames = [SymbolicAngle(-a, -b) for a, b in sorted(dirs)]
-        else:
-            frames = [SymbolicAngle(0, 0)]
-        for rot in frames:
-            ser = sorted(_serialize_exact(t.rotated(rot)) for t in tiles)
-            out.append(";".join(ser))
-    return out
-
-
-def _serialize_exact(pl: Placement) -> str:
-    pl = pl.canonical()
-    cs = ",".join(f"{b}:{u}:{v}" for b, u, v in pl.anchor.coeffs)
-    return f"{pl.kind}|{cs}|{pl.heading.a},{pl.heading.b}"
-
-
-def _key_candidates_numeric(ball: PatternBall, rotations: bool) -> list[str]:
-    rad = ball.alpha.eval_radians()
-    cx, cy = ball.center_xy
+    Each distinct corner point is transformed and coded once per frame.
+    Only the point transform and the point code depend on alpha; for
+    numeric alpha, frames of the same angle are merged.
+    """
+    exact = ball.alpha.kind == "generic"
+    rad = None if exact else ball.alpha.eval_radians()
+    index: dict = {}  # point (rounded when numeric) -> position in pts
+    pts = []
     tiles = []
+    dirs = set()
     for t in ball.tiles:
-        pts = [(x - cx, y - cy) for x, y in t.corner_xy(rad)]
-        tiles.append((t.kind, pts))
-    variants = [tiles]
+        ids = []
+        for p in t.corner_points() if exact else t.corner_xy(rad):
+            k = p if exact else (round(p[0], 6), round(p[1], 6))
+            if k not in index:
+                index[k] = len(pts)
+                pts.append(p)
+            ids.append(index[k])
+        tiles.append((t.kind, ids))
+        dirs.update(d for _lab, d, _ang in t.corner_dirs())
+    if exact:
+        pts = [p - ball.center for p in pts]
+    else:
+        cx, cy = ball.center_xy
+        pts = [(x - cx, y - cy) for x, y in pts]
+    variants = [(pts, dirs if rotations else {Direction(0, 0)})]
     if rotations:
-        mirrored = []
-        for kind, pts in tiles:
-            mp = [(x, -y) for x, y in pts]
-            # reversing restores CCW order; labels still start at an anchor
-            mp = [mp[0]] + mp[:0:-1]
-            mirrored.append((kind, mp))
-        variants.append(mirrored)
+        # mirroring reverses each tile's walk: edge direction d becomes pi - d
+        mirror = [p.conj() for p in pts] if exact else [(x, -y) for x, y in pts]
+        variants.append((mirror, {Direction.of(3 - d.a, -d.b) for d in dirs}))
     out = []
-    for var in variants:
-        if rotations:
-            angles = set()
-            for _kind, pts in var:
-                m = len(pts)
-                for i in range(m):
-                    ax, ay = pts[i]
-                    bx, by = pts[(i + 1) % m]
-                    angles.add(round(math.atan2(by - ay, bx - ax), 9))
-        else:
-            angles = {0.0}
-        for theta in sorted(angles):
-            c, s = math.cos(-theta), math.sin(-theta)
-            ser = []
-            for kind, pts in var:
-                rp = [(x * c - y * s, x * s + y * c) for x, y in pts]
-                ser.append(_serialize_numeric(kind, rp))
-            out.append(";".join(sorted(ser)))
+    for vpts, vdirs in variants:
+        if not exact:
+            vdirs = {round(d.value(rad), 9): d for d in vdirs}.values()
+        for d in vdirs:
+            codes = _frame_codes(vpts, d, rad)
+            out.append(";".join(sorted(
+                kind + "|" + "/".join(sorted(codes[i] for i in ids))
+                for kind, ids in tiles
+            )))
     return out
 
 
-def _serialize_numeric(kind: str, pts) -> str:
-    step = 1 if kind == "T" else 2
-    reps = []
-    for i in range(0, len(pts), step):
-        cycle = pts[i:] + pts[:i]
-        reps.append(
-            kind
-            + "|"
-            + ",".join(f"{round(x, 6) + 0.0:.6f}:{round(y, 6) + 0.0:.6f}" for x, y in cycle)
-        )
-    return min(reps)
+def _frame_codes(pts, d: Direction, rad: float | None) -> list[str]:
+    """Codes of the points turned by -d: exact points when rad is None,
+    else (x, y) pairs rounded to 6 decimals."""
+    if rad is None:
+        rot = SymbolicAngle(-d.a, -d.b)
+        return [
+            ",".join(f"{b}:{u}:{v}" for b, u, v in p.rotated(rot).coeffs)
+            for p in pts
+        ]
+    t = d.value(rad)
+    c, s = math.cos(t), math.sin(t)
+    return [
+        f"{round(x * c + y * s, 6) + 0.0:.6f}:{round(y * c - x * s, 6) + 0.0:.6f}"
+        for x, y in pts
+    ]

@@ -105,12 +105,6 @@ class _Search:
         return True
 
 
-def _raw_tile_key(t: Placement, rad: float):
-    if t.is_exact:
-        return _placement_sort_key(t.canonical())
-    return (t.kind, tuple(round(c, 6) for xy in t.corner_xy(rad) for c in xy))
-
-
 def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
     return [
         Placement("T", point, d),
@@ -221,7 +215,8 @@ def complete_ball(
     grow any further.  Two steps, both run by fill_disk:
 
     1. Search the completions of the radius-n disk only.  Each yields its
-       ball; a raw tile set seen before is skipped, a new one is keyed.
+       ball, keyed by canonical_key: every tile is coded by its kind and
+       its corner set, which fixes a convex tile whatever its anchor.
     2. For each new key, one first_only search out to n + margin, started
        from the seed plus the ball's tiles, decides whether the ball
        extends.  Only balls that extend are kept.
@@ -232,8 +227,8 @@ def complete_ball(
     radius-n disk, so every completion of seed plus ball has that same
     ball.  When the seed is the bare center alone, an isometry about the
     center maps completions onto completions, so one witness search
-    settles a whole isometry class; otherwise each raw tile set is decided
-    on its own.
+    settles a whole isometry class; otherwise each ball of a class not yet
+    kept is decided on its own.
 
     budget bounds the nodes of all these searches together.  On exhaustion
     BudgetExceeded is raised carrying the witnessed balls found so far.
@@ -241,7 +236,6 @@ def complete_ball(
     nodes = _as_budget(budget)
     found: dict[str, PatternBall] = {}
     refuted: set[str] = set()
-    seen_raw: set = set()
     new_balls: list[PatternBall] = []
     size = len(seed)
     seed_tiles = set(seed.tiles)
@@ -251,13 +245,7 @@ def complete_ball(
             ball = p.extract_ball(center_vid, n)
         except IncompleteCoverage:
             return
-        # many completions share the same inner ball: skip the expensive
-        # canonical minimization when the raw (translation-fixed) tile set
-        # has been seen before
-        raw = tuple(sorted(_raw_tile_key(t, p.eval_rad) for t in ball.tiles))
-        if raw not in seen_raw:
-            seen_raw.add(raw)
-            new_balls.append(ball)
+        new_balls.append(ball)
 
     def extends(ball: PatternBall) -> bool:
         try:
@@ -354,16 +342,15 @@ def count_patterns(
     except BudgetExceeded as exc:
         balls = exc.partial
         complete = False
-    tkeys = set()
-    for b in balls:
-        tkeys |= b.orbit_translation_keys()
+    # a ball's key is the least of its orbit's translation keys
+    orbits = [b.orbit_translation_keys() for b in balls]
     return PatternCount(
         n=n,
         alpha=alpha,
         count=len(balls),
-        translation_count=len(tkeys),
+        translation_count=len(frozenset().union(*orbits)),
         complete=complete,
-        patterns={b.key() for b in balls} if keep else set(),
+        patterns={min(o) for o in orbits} if keep else set(),
         nodes=nodes.used,
     )
 
@@ -412,10 +399,11 @@ def dodecagon_center_xy(alpha: AlphaSpec, base: ExactPoint = ORIGIN):
 
 
 def dodecagon_fillings(*, budget: int = DEFAULT_BUDGET) -> list[Patch]:
-    """All ways to tile the unit-edge regular dodecagon, sorted by key.
+    """All ways to tile the unit-edge regular dodecagon.
 
     The list order defines the filling index used when generating packing
-    tilings.
+    tilings.  Fillings are ordered by their sorted placements (kind, exact
+    anchor, heading), so the index does not depend on the key format.
     """
     alpha = make_alpha("rational", 1, 2)
     cxy = dodecagon_center_xy(alpha)
@@ -436,9 +424,11 @@ def dodecagon_fillings(*, budget: int = DEFAULT_BUDGET) -> list[Patch]:
     patch = dodecagon_patch(alpha)
     fill_region(patch, cxy, budget=budget, on_solution=record)
     out = []
-    for key in sorted(fillings):
+    for tiles in sorted(
+        fillings.values(), key=lambda ts: sorted(map(_placement_sort_key, ts))
+    ):
         q = Patch(alpha)
-        for t in fillings[key]:
+        for t in tiles:
             q.add_tile(t)
         q.require_valid()
         out.append(q)

@@ -408,7 +408,9 @@ def _hex_surround_violations(patch):
         if cfg.word != "TTTTTT":
             continue
         for v in vids:
-            star_tiles = {t for t, _lab in patch.star(v).corners}
+            star_tiles = {
+                iv[4] for iv in patch._vertices[v].intervals if iv[4] is not None
+            }
             for ts in patch._edges.values():
                 if len(ts) != 2:
                     continue

@@ -18,6 +18,7 @@ from shieldtiles.patch import (
     Placement,
     placement_with_corner,
 )
+from shieldtiles.patterns import fill_disk
 from shieldtiles.symbolic import (
     Direction,
     ExactPoint,
@@ -35,10 +36,12 @@ def hex_star(alpha=GENERIC) -> Patch:
     return patch
 
 
-def bowtie_star(alpha=GENERIC) -> Patch:
+def bowtie_star(alpha=GENERIC, word="ATBT") -> Patch:
+    """The corners of `word` around the origin, counterclockwise from
+    direction 0; the default is the bowtie."""
     patch = Patch(alpha)
     d = Direction.of(0, 0)
-    for label in "ATBT":
+    for label in word:
         if label == "T":
             patch.add_tile(Placement("T", ORIGIN, d))
         elif label == "A":
@@ -186,14 +189,32 @@ def _transformed(ball: PatternBall, ang, reflect, shift):
     )
 
 
-def test_ball_key_isometry_invariance():
-    patch = hex_star()
+# the keys of every alpha other than generic are numeric
+KEY_ALPHAS = [
+    make_alpha("rational", 1, 2),
+    make_alpha("rational", 5, 12),
+    make_alpha("decimal", 110),
+]
+
+
+def _grown_ball(alpha, n=1.0) -> PatternBall:
+    """A radius-n ball around an ABTT star, one completion of its disk.
+
+    ABTT is chiral, so no rotation maps the ball onto its mirror image."""
+    patch = bowtie_star(alpha, "ABTT")
     vid = patch.add_vertex(ORIGIN)
-    ball = patch.extract_ball(vid, 0.1)
-    bow = bowtie_star()
+    assert fill_disk(patch, vid, n, first_only=True)
+    return patch.extract_ball(vid, n)
+
+
+def _check_isometry_invariance(alpha):
+    patch = hex_star(alpha)
+    ball = patch.extract_ball(patch.add_vertex(ORIGIN), 0.1)
+    bow = bowtie_star(alpha)
     ball2 = bow.extract_ball(bow.add_vertex(ORIGIN), 0.1)
+    ball3 = _grown_ball(alpha)
     rng = random.Random(7)
-    for b in (ball, ball2):
+    for b in (ball, ball2, ball3):
         key = b.key()
         for _ in range(20):
             ang = SymbolicAngle(rng.randrange(-6, 7), rng.randrange(-2, 3))
@@ -203,11 +224,20 @@ def test_ball_key_isometry_invariance():
             )
             t = _transformed(b, ang, rng.random() < 0.5, shift)
             assert t.key() == key
-    assert ball.key() != ball2.key()
+    assert len({ball.key(), ball2.key(), ball3.key()}) == 3
 
 
-def test_translation_key_separates_rotations():
-    patch = bowtie_star()
+def test_ball_key_isometry_invariance():
+    _check_isometry_invariance(GENERIC)
+
+
+@pytest.mark.parametrize("alpha", KEY_ALPHAS)
+def test_ball_key_isometry_invariance_numeric(alpha):
+    _check_isometry_invariance(alpha)
+
+
+def _check_translation_key_separates_rotations(alpha):
+    patch = bowtie_star(alpha)
     vid = patch.add_vertex(ORIGIN)
     ball = patch.extract_ball(vid, 0.1)
     rot = _transformed(ball, SymbolicAngle(1, 0), False, ExactPoint.origin())
@@ -218,6 +248,31 @@ def test_translation_key_separates_rotations():
         ExactPoint.from_dict({0: (2, 1)}),
     )
     assert shifted.translation_key() == ball.translation_key()
+
+
+def test_translation_key_separates_rotations():
+    _check_translation_key_separates_rotations(GENERIC)
+
+
+@pytest.mark.parametrize("alpha", KEY_ALPHAS)
+def test_translation_key_separates_rotations_numeric(alpha):
+    _check_translation_key_separates_rotations(alpha)
+
+
+def test_float_anchored_ball_keys_like_its_exact_twin():
+    alpha = make_alpha("decimal", 110)
+    rad = alpha.eval_radians()
+    ball = _grown_ball(alpha)
+    # re-anchor every tile at another corner, given by coordinates only
+    tiles = tuple(
+        Placement(r.kind, FloatPoint(*r.anchor.xy(rad)), r.heading)
+        for r in (t.anchor_reps()[-1] for t in ball.tiles)
+    )
+    twin = PatternBall(alpha=alpha, center=None, center_xy=ball.center_xy,
+                       radius=ball.radius, tiles=tiles)
+    assert twin.key() == ball.key()
+    assert twin.translation_key() == ball.translation_key()
+    assert twin.orbit_translation_keys() == ball.orbit_translation_keys()
 
 
 def test_validate_reports_open_gap_vertices():

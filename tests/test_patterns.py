@@ -55,19 +55,34 @@ def _keys_digest(keys) -> str:
     return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
 
 
-# sha256 of the sorted canonical keys, computed by listing every
-# completion of the radius n + margin disk
+# sha256 of the sorted canonical keys.  The balls were first pinned by
+# listing every completion of the radius n + margin disk.  When the tile
+# code changed to kind plus sorted corner codes, the earlier keys (anchored
+# tile serializations) and the new ones split every radius-n completion into
+# the same classes (generic n = 1, 2; pi/2 n = 0.6, 1.0, 1.5 with margin 0;
+# 5pi/12 n = 0.6; 110.3 degrees n = 1, 2), with the same translation
+# counts, and the pinned key sets map onto each other.
 @pytest.mark.parametrize("n, alpha, count, digest", [
     (1.0, GENERIC, 7,
-     "520e0ff7be497ebe021722d1e1a299da5713241d6d24aa54f7fbed8389176013"),
+     "279adc7cc64aa62701719ac48144d1d9c3eac349b602cdf9592d3782cec979f8"),
     (0.6, RIGHT, 7,
-     "b3a67602efc6c40be74d0e4259544f2528b3b886e5e7f060ea03b43816abb17a"),
+     "d3a8949aa1fe0406f48b859b4c170982dc092ddf129e2a09c9417906cde3debf"),
 ])
 def test_pattern_keys_pinned(n, alpha, count, digest):
     res = count_patterns(n, alpha)
     assert res.complete
     assert res.count == count
     assert _keys_digest(res.patterns) == digest
+
+
+@pytest.mark.parametrize("n, alpha", [(1.0, GENERIC), (0.6, RIGHT)])
+def test_key_is_least_orbit_translation_key(n, alpha):
+    # count_patterns takes each ball's key from the orbit it computes
+    patch, vid = _bare_seed(alpha)
+    balls = complete_ball(patch, vid, n)
+    for b in balls:
+        assert b.key() == min(b.orbit_translation_keys())
+    assert count_patterns(n, alpha).patterns == {b.key() for b in balls}
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +95,7 @@ def test_right_shield_two_rings(right_two_rings):
     assert res.complete
     assert (res.count, res.translation_count) == (52, 1028)
     assert _keys_digest(res.patterns) == (
-        "b6799eac2ded75b701e67cfd8159165272ed8787edfe94b9f28c423d86e6a650"
+        "ce53dc26df87918e98ebdb45e5a22b00e0e944140f32bab971a6495bac736930"
     )
 
 
@@ -145,6 +160,25 @@ def test_dodecagon_fillings_are_rotations_of_one_shape():
     ]
     assert len({b.translation_key() for b in balls}) == 3
     assert len({b.key() for b in balls}) == 1
+
+
+def test_dodecagon_filling_indices_are_stable():
+    # packing windows and `generate dodecagon --filling` name fillings by
+    # index: the four triangles of filling k lie in the directions
+    # 90*j - 30*k degrees from the dodecagon center
+    from shieldtiles.patterns import dodecagon_center_xy
+
+    cx, cy = dodecagon_center_xy(RIGHT)
+    rad = RIGHT.eval_radians()
+    for k, p in enumerate(dodecagon_fillings()):
+        turns = set()
+        for t in p.tiles:
+            if t.kind == "T":
+                pts = t.corner_xy(rad)
+                mx = sum(x for x, _ in pts) / 3 - cx
+                my = sum(y for _, y in pts) / 3 - cy
+                turns.add(round(math.degrees(math.atan2(my, mx)) + 30 * k) % 90)
+        assert turns == {0}
 
 
 def test_dodecagon_boundary_patch_has_no_tiles():
