@@ -25,7 +25,6 @@ from .symbolic import (
 )
 
 LABEL_ANGLES = {"A": ANGLE_A, "B": ANGLE_B, "T": ANGLE_T}
-LABEL_ORDER = "ABT"
 
 P_MAX, Q_MAX, R_MAX = 5, 2, 6
 
@@ -78,12 +77,6 @@ class VertexConfig:
 
     def __str__(self) -> str:
         return " ".join(self.word)
-
-
-HEX = VertexConfig("TTTTTT")
-BOWTIE = VertexConfig("ATBT")
-FAULT = VertexConfig("ABTT")
-GENERIC_CONFIGS = frozenset({HEX, BOWTIE, FAULT})
 
 
 def solve_vertex_equation(alpha: AlphaSpec) -> set[VertexCounts]:
@@ -249,30 +242,6 @@ class Unknown:
         return "Unknown"
 
 
-def config_star_patch(config: VertexConfig, alpha: AlphaSpec):
-    """Patch holding exactly the configuration's star around one vertex.
-
-    Returns (patch, center_vid).
-    """
-    from .patch import Patch, Placement, placement_with_corner
-    from .symbolic import Direction, ExactPoint
-
-    patch = Patch(alpha)
-    center = ExactPoint.origin()
-    vid = patch.add_vertex(center)
-    d = Direction.of(0, 0)
-    for ch in config.word:
-        if ch == "T":
-            t = Placement("T", center, d)
-        elif ch == "A":
-            t = Placement("S", center, d)
-        else:
-            t = placement_with_corner("S", 1, center, d)
-        patch.add_tile(t)
-        d = d.plus(LABEL_ANGLES[ch])
-    return patch, vid
-
-
 def is_config_extendable(
     config: VertexConfig, alpha: AlphaSpec, depth: int = 3
 ):
@@ -284,9 +253,14 @@ def is_config_extendable(
     bounded search dead-ends; Unknown means the node budget ran out.
     """
     from .errors import BudgetExceeded
+    from .patch import Patch, star_placements
     from .patterns import DEFAULT_BUDGET, fill_disk
+    from .symbolic import ExactPoint
 
-    patch, vid = config_star_patch(config, alpha)
+    patch = Patch(alpha)
+    vid = patch.add_vertex(ExactPoint.origin())
+    for t in star_placements(config.word, ExactPoint.origin()):
+        patch.add_tile(t)
     try:
         if fill_disk(patch, vid, float(depth), budget=DEFAULT_BUDGET,
                      first_only=True):

@@ -21,7 +21,7 @@ from .generators import (
     gen_line_tiling,
     gen_triangle_tiling,
 )
-from .patterns import count_patterns, dodecagon_fillings
+from .patterns import DEFAULT_BUDGET, count_patterns, dodecagon_fillings
 from .render import RenderStyle, render_svg
 from .shieldio import FormatError, dumps, load_file, save_file
 
@@ -57,7 +57,6 @@ def _cmd_generate(args) -> int:
     else:
         choice = DodecagonChoice.constant(args.filling)
         patch = gen_dodecagon_tiling(choice, args.extent)
-    patch.require_valid()
     if args.out:
         save_file(patch, args.out)
     else:
@@ -152,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("enumerate", help="count radius-n patterns")
     s.add_argument("--alpha", required=True)
     s.add_argument("--radius", type=float, required=True)
-    s.add_argument("--budget", type=int, default=2_000_000)
+    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     s.add_argument("--keys", action="store_true",
                    help="also print canonical pattern keys")
     s.set_defaults(func=_cmd_enumerate)

@@ -171,6 +171,21 @@ def placement_with_corner(
     return Placement(kind, p, d)
 
 
+# the tile kind and corner index that put each corner label at a vertex
+LABEL_CORNERS = {"T": ("T", 0), "A": ("S", 0), "B": ("S", 1)}
+
+
+def star_placements(word: str, point: ExactPoint) -> list[Placement]:
+    """The tiles of the vertex star with corner word `word` at `point`,
+    counterclockwise, the first corner flush at direction 0."""
+    d = Direction.of(0, 0)
+    out = []
+    for lab in word:
+        out.append(placement_with_corner(*LABEL_CORNERS[lab], point, d))
+        d = d.plus(LABEL_ANGLES[lab])
+    return out
+
+
 @dataclass
 class Violation:
     kind: str
@@ -241,12 +256,10 @@ class Patch:
         if self.exact_keys:
             return self._key2vid.get(point.coeffs)
         x, y = xy
-        for cx in range(math.floor(x - GEOM_TOL), math.floor(x + GEOM_TOL) + 1):
-            for cy in range(math.floor(y - GEOM_TOL), math.floor(y + GEOM_TOL) + 1):
-                for vid in self._vgrid.get((cx, cy), ()):
-                    ex, ey = self._vertices[vid].xy
-                    if abs(ex - x) < GEOM_TOL and abs(ey - y) < GEOM_TOL:
-                        return vid
+        for vid in self._vids_near(x, y, GEOM_TOL):
+            ex, ey = self._vertices[vid].xy
+            if abs(ex - x) < GEOM_TOL and abs(ey - y) < GEOM_TOL:
+                return vid
         return None
 
     def _get_or_make_vid(self, xy, point, journal=None):
@@ -273,13 +286,11 @@ class Patch:
                 out.extend(self._grid.get((cx + dx, cy + dy), ()))
         return out
 
-    def _vids_near(self, x, y):
-        cx, cy = math.floor(x), math.floor(y)
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                out.extend(self._vgrid.get((cx + dx, cy + dy), ()))
-        return out
+    def _vids_near(self, x, y, r):
+        """Vertices in the unit cells that the box (x, y) +- r touches."""
+        for cx in range(math.floor(x - r), math.floor(x + r) + 1):
+            for cy in range(math.floor(y - r), math.floor(y + r) + 1):
+                yield from self._vgrid.get((cx, cy), ())
 
     def _inside_some_edge(self, x, y) -> bool:
         """True iff (x, y) lies strictly inside an edge of the patch."""
@@ -300,7 +311,7 @@ class Patch:
     def _vertex_inside_edge(self, ax, ay, bx, by) -> bool:
         """True iff a vertex of the patch lies strictly inside edge ab."""
         mx, my = (ax + bx) / 2, (ay + by) / 2
-        for vid in self._vids_near(mx, my):
+        for vid in self._vids_near(mx, my, 0.5 + GEOM_TOL):
             px, py = self._vertices[vid].xy
             ux, uy = px - mx, py - my
             if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(

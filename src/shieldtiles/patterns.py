@@ -15,15 +15,17 @@ from dataclasses import dataclass, field
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec, make_alpha
-from .atlas import gap_feasible, star_completable
+from .atlas import atlas_configs, gap_feasible, star_completable
 from .errors import BudgetExceeded, IncompleteCoverage, ShieldError
 from .patch import (
     GEOM_TOL,
+    LABEL_CORNERS,
     Patch,
     PatternBall,
     Placement,
     _placement_sort_key,
     placement_with_corner,
+    star_placements,
 )
 from .symbolic import Direction, ExactPoint, SymbolicAngle
 
@@ -106,11 +108,7 @@ class _Search:
 
 
 def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
-    return [
-        Placement("T", point, d),
-        Placement("S", point, d),
-        placement_with_corner("S", 1, point, d),
-    ]
+    return [placement_with_corner(*LABEL_CORNERS[lab], point, d) for lab in "TAB"]
 
 
 def _disk_frontier(patch: Patch, center_xy, radius: float):
@@ -208,37 +206,45 @@ def complete_ball(
     margin: float = DEFAULT_MARGIN,
     budget: int | NodeBudget = DEFAULT_BUDGET,
 ) -> set[PatternBall]:
-    """All pattern balls of radius n around the center that occur inside
+    """All pattern balls of radius n around a bare center that occur inside
     completions of the radius n + margin disk.
 
-    The margin discards local configurations that close the disk but cannot
-    grow any further.  Two steps, both run by fill_disk:
+    seed must hold the center vertex and nothing else; ValueError is raised
+    otherwise.  The margin discards local configurations that close the
+    disk but cannot grow any further.  Two steps, both run by fill_disk:
 
-    1. Search the completions of the radius-n disk only.  Each yields its
+    1. For each atlas word, in sorted order, place its star around the
+       center, first corner flush at direction 0, and search the
+       completions of the radius-n disk.  Atlas words are canonical up
+       to rotation and reflection, and the rotations about the center by
+       edge directions and the reflection in the x axis map exact points
+       to exact points, so every completion is isometric to one that
+       holds one of these stars: each center star is searched once.  Each completion yields its
        ball, keyed by canonical_key: every tile is coded by its kind and
        its corner set, which fixes a convex tile whatever its anchor.
     2. For each new key, one first_only search out to n + margin, started
-       from the seed plus the ball's tiles, decides whether the ball
-       extends.  Only balls that extend are kept.
+       from the ball's tiles, decides whether the ball extends.  Only balls
+       that extend are kept.
 
     This gives the same balls as listing every completion of the
     n + margin disk.  Such a completion holds the ball of its own radius-n
     disk, so it witnesses that ball.  Conversely the ball covers the closed
-    radius-n disk, so every completion of seed plus ball has that same
-    ball.  When the seed is the bare center alone, an isometry about the
-    center maps completions onto completions, so one witness search
-    settles a whole isometry class; otherwise each ball of a class not yet
-    kept is decided on its own.
+    radius-n disk, so every completion of the ball has that same ball.  A
+    star with symmetries, such as TTTTTT, still yields isometric balls more
+    than once; an isometry about the center maps completions onto
+    completions, so each key is decided once, kept or refuted.
 
-    budget bounds the nodes of all these searches together.  On exhaustion
-    BudgetExceeded is raised carrying the witnessed balls found so far.
+    budget bounds the nodes of all these searches together; the star tiles
+    are placed directly and spend none.  On exhaustion BudgetExceeded is
+    raised carrying the witnessed balls found so far.
     """
+    if len(seed) or len(seed.vertex_ids()) != 1 or seed.gaps(center_vid):
+        raise ValueError("complete_ball needs a bare center vertex")
     nodes = _as_budget(budget)
+    point = seed.vertex_point(center_vid)
     found: dict[str, PatternBall] = {}
     refuted: set[str] = set()
     new_balls: list[PatternBall] = []
-    size = len(seed)
-    seed_tiles = set(seed.tiles)
 
     def record(p: Patch):
         try:
@@ -247,43 +253,26 @@ def complete_ball(
             return
         new_balls.append(ball)
 
-    def extends(ball: PatternBall) -> bool:
+    def search(tiles, radius: float, **kw) -> bool:
         try:
-            for t in ball.tiles:
-                if t not in seed_tiles:
-                    seed.add_tile(t)
-            return fill_disk(
-                seed, center_vid, n + margin, budget=nodes, first_only=True
-            )
+            for t in tiles:
+                seed.add_tile(t)
+            return fill_disk(seed, center_vid, radius, budget=nodes, **kw)
         finally:
-            _truncate(seed, size)
+            # also after a search was cut short
+            while len(seed):
+                seed.pop_tile()
 
-    bare = not seed._vertices[center_vid].intervals
-    symmetric = bare and len(seed) == 0 and len(seed.vertex_ids()) == 1
-    seeds: list[Placement | None]
-    if bare and len(seed) == 0:
-        point = seed.vertex_point(center_vid)
-        seeds = _flush_candidates(point, Direction.of(0, 0))
-    else:
-        seeds = [None]
     try:
-        for first in seeds:
-            try:
-                if first is not None:
-                    try:
-                        seed.add_tile(first)
-                    except ShieldError:
-                        continue
-                fill_disk(seed, center_vid, n, budget=nodes, on_solution=record)
-            finally:
-                _truncate(seed, size)
+        for cfg in sorted(atlas_configs(seed.alpha)):
+            search(star_placements(cfg.word, point), n, on_solution=record)
             for ball in new_balls:
                 key = ball.key()
                 if key in found or key in refuted:
                     continue
-                if extends(ball):
+                if search(ball.tiles, n + margin, first_only=True):
                     found[key] = ball
-                elif symmetric:
+                else:
                     refuted.add(key)
             new_balls.clear()
     except BudgetExceeded as exc:
@@ -291,12 +280,6 @@ def complete_ball(
             "node budget exhausted", partial=set(found.values())
         ) from exc
     return set(found.values())
-
-
-def _truncate(patch: Patch, size: int) -> None:
-    """Pop tiles until `size` remain, also after a search was cut short."""
-    while len(patch) > size:
-        patch.pop_tile()
 
 
 @dataclass

@@ -131,18 +131,19 @@ class ExactPoint:
 
     def rotated(self, ang: SymbolicAngle) -> "ExactPoint":
         """Rotation about the origin by a*pi/3 + b*alpha."""
+        # every b shifts by the same amount and w^a is a unit, so the
+        # triples stay sorted and nonzero
         wu, wv = OMEGA_POW[ang.a % 6]
-        d: dict[int, tuple[int, int]] = {}
-        for b, u, v in self.coeffs:
-            d[b + ang.b] = _eis_mul(u, v, wu, wv)
-        return ExactPoint.from_dict(d)
+        return ExactPoint(tuple(
+            (b + ang.b, *_eis_mul(u, v, wu, wv)) for b, u, v in self.coeffs
+        ))
 
     def conj(self) -> "ExactPoint":
         """Reflection across the real axis."""
-        d = {}
-        for b, u, v in self.coeffs:
-            d[-b] = (u + v, -v)
-        return ExactPoint.from_dict(d)
+        # b -> -b reverses the order; (u + v, -v) is nonzero with (u, v)
+        return ExactPoint(tuple(
+            (-b, u + v, -v) for b, u, v in reversed(self.coeffs)
+        ))
 
     def eval(self, alpha_rad: float) -> complex:
         w = cmath.exp(1j * PI3)

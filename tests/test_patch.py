@@ -317,17 +317,19 @@ def test_add_blocked_updates_cached_gaps():
 
 @pytest.mark.parametrize("upper_first", [True, False])
 def test_corner_near_the_end_of_an_edge_rejected(upper_first):
-    # the lower triangle's top corner (0.99, 0) lies inside the base edge of
-    # the upper triangle, 0.49 from its midpoint; in either order of
-    # placement the second tile must be refused
-    upper = Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0))
-    lower = Placement("T", FloatPoint(0.99, 0.0), Direction.of(4, 0))
-    first, second = (upper, lower) if upper_first else (lower, upper)
-    patch = Patch(ALPHA_NUM)
-    patch.add_tile(first)
-    with pytest.raises(EdgeMismatchError):
-        patch.add_tile(second)
-    assert len(patch) == 1
+    # the lower triangle's top corner (x + 0.99, 0) lies inside the base
+    # edge of the upper triangle, 0.49 from its midpoint; in either order of
+    # placement the second tile must be refused.  At x = 0.3 the corner and
+    # the edge midpoint lie in different unit cells
+    for x in (0.0, 0.3):
+        upper = Placement("T", FloatPoint(x, 0.0), Direction.of(0, 0))
+        lower = Placement("T", FloatPoint(x + 0.99, 0.0), Direction.of(4, 0))
+        first, second = (upper, lower) if upper_first else (lower, upper)
+        patch = Patch(ALPHA_NUM)
+        patch.add_tile(first)
+        with pytest.raises(EdgeMismatchError):
+            patch.add_tile(second)
+        assert len(patch) == 1
 
 
 def test_tip_to_tip_overlap_rejected():

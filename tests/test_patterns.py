@@ -5,7 +5,7 @@ import pytest
 
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.errors import BudgetExceeded
-from shieldtiles.patch import Patch
+from shieldtiles.patch import Patch, star_placements
 from shieldtiles.patterns import (
     NodeBudget,
     complete_ball,
@@ -94,6 +94,8 @@ def test_right_shield_two_rings(right_two_rings):
     res = right_two_rings
     assert res.complete
     assert (res.count, res.translation_count) == (52, 1028)
+    # a key that the margin search refuted is not searched again
+    assert res.nodes == 2683
     assert _keys_digest(res.patterns) == (
         "ce53dc26df87918e98ebdb45e5a22b00e0e944140f32bab971a6495bac736930"
     )
@@ -136,6 +138,25 @@ def test_node_budget_is_shared_by_all_searches_of_one_call():
         assert len(patch) == 0 and len(patch.vertex_ids()) == 1
     again = complete_ball(patch, vid, 1.0, budget=used)
     assert {b.key() for b in again} == {b.key() for b in balls}
+
+
+def test_complete_ball_needs_a_bare_center():
+    one_tile, vid = _bare_seed(GENERIC)
+    one_tile.add_tile(star_placements("TTTTTT", ExactPoint.origin())[0])
+    two_vertices, _ = _bare_seed(GENERIC)
+    two_vertices.add_vertex(ExactPoint.from_dict({0: (1, 0)}))
+    for seed in (one_tile, two_vertices):
+        tiles, vids = list(seed.tiles), len(seed.vertex_ids())
+        with pytest.raises(ValueError):
+            complete_ball(seed, vid, 1.0)
+        assert (list(seed.tiles), len(seed.vertex_ids())) == (tiles, vids)
+
+
+@pytest.mark.parametrize("n, alpha, nodes", [(0.6, RIGHT, 99), (1.0, GENERIC, 318)])
+def test_search_nodes_pinned(n, alpha, nodes):
+    # each center star is searched once up to isometry, and its own tiles
+    # spend no nodes; a center star searched twice shows here
+    assert count_patterns(n, alpha, keep=False).nodes == nodes
 
 
 def test_dodecagon_fillings_exactly_three():

@@ -93,11 +93,15 @@ def test_rotation_matches_numeric(p, ang):
     qx, qy = q.xy(ALPHA)
     assert qx == pytest.approx(rx, abs=1e-9)
     assert qy == pytest.approx(ry, abs=1e-9)
+    # vertex identity and keys compare coefficient tuples: q must be in the
+    # canonical form (sorted, no zero entries)
+    assert q == ExactPoint.from_dict(q.to_dict())
 
 
 @given(points)
 def test_conjugation_involution(p):
     assert p.conj().conj() == p
+    assert p.conj() == ExactPoint.from_dict(p.conj().to_dict())
     x, y = p.xy(ALPHA)
     cx, cy = p.conj().xy(ALPHA)
     assert cx == pytest.approx(x, abs=1e-9)
