@@ -19,7 +19,6 @@ from .symbolic import (
     ANGLE_B,
     ANGLE_T,
     SymbolicAngle,
-    angle_sum,
     full_turn_check,
     same_angle,
 )
@@ -72,9 +71,6 @@ class VertexConfig:
             self.word.count("A"), self.word.count("B"), self.word.count("T")
         )
 
-    def angles(self) -> list[SymbolicAngle]:
-        return [LABEL_ANGLES[c] for c in self.word]
-
     def __str__(self) -> str:
         return " ".join(self.word)
 
@@ -87,9 +83,9 @@ def solve_vertex_equation(alpha: AlphaSpec) -> set[VertexCounts]:
             for r in range(R_MAX + 1):
                 if p + q + r == 0:
                     continue
-                angles = [ANGLE_A] * p + [ANGLE_B] * q + [ANGLE_T] * r
-                if full_turn_check(angles, alpha):
-                    out.add(VertexCounts(p, q, r))
+                c = VertexCounts(p, q, r)
+                if full_turn_check(c.angles(), alpha):
+                    out.add(c)
     return out
 
 
@@ -158,62 +154,6 @@ def gap_feasible(gap: SymbolicAngle, alpha: AlphaSpec) -> bool:
         for q in range(Q_MAX + 1)
         for r in range(R_MAX + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# Partial-star matching: can the corners already present at a vertex, with
-# the current gaps, still be completed into some atlas word?
-# ---------------------------------------------------------------------------
-
-
-def star_completable(
-    blocks: list[tuple[str, SymbolicAngle]], alpha: AlphaSpec
-) -> bool:
-    """blocks alternates ('word', contiguous labels) and ('gap', angle),
-    in cyclic order.  True iff some atlas configuration extends it.
-    """
-    words = [b[1] for b in blocks if b[0] == "word"]
-    if not words:
-        return True
-    for cfg in atlas_configs(alpha):
-        if _match_star(blocks, cfg.word, alpha):
-            return True
-    return False
-
-
-def _angles_value_eq(x: SymbolicAngle, y_letters: str, alpha: AlphaSpec) -> bool:
-    return same_angle(x, angle_sum(LABEL_ANGLES[c] for c in y_letters), alpha)
-
-
-def _match_star(blocks, word: str, alpha: AlphaSpec) -> bool:
-    n = len(word)
-    variants = {word[i:] + word[:i] for i in range(n)}
-    rev = word[::-1]
-    variants |= {rev[i:] + rev[:i] for i in range(n)}
-    # rotate blocks so the cycle starts at a word block
-    start = next(i for i, b in enumerate(blocks) if b[0] == "word")
-    cyc = blocks[start:] + blocks[:start]
-    for w in variants:
-        if _match_tail(cyc, 0, w, 0, alpha):
-            return True
-    return False
-
-
-def _match_tail(cyc, ci: int, w: str, pos: int, alpha: AlphaSpec) -> bool:
-    if ci == len(cyc):
-        return pos == len(w)
-    kind, payload = cyc[ci]
-    if kind == "word":
-        seg = payload
-        if pos + len(seg) > len(w) or w[pos : pos + len(seg)] != seg:
-            return False
-        return _match_tail(cyc, ci + 1, w, pos + len(seg), alpha)
-    # gap: absorb zero or more letters whose angles sum exactly to the gap
-    for k in range(len(w) - pos + 1):
-        if _angles_value_eq(payload, w[pos : pos + k], alpha):
-            if _match_tail(cyc, ci + 1, w, pos + k, alpha):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from .alpha import AlphaSpec, make_alpha
 from .errors import MissingChoice, ShieldError
 from .patch import Patch, Placement
-from .patterns import dodecagon_fillings, dodecagon_vertices, fill_disk
+from .patterns import (
+    DODECA_CIRCUM,
+    dodecagon_center_xy,
+    dodecagon_fillings,
+    fill_disk,
+)
 from .symbolic import Direction, ExactPoint, SymbolicAngle, unit_vector
 
 EP = ExactPoint.from_dict
@@ -209,15 +214,12 @@ def gen_dodecagon_tiling(choice: DodecagonChoice, extent: int) -> Patch:
     v2 = v1.rotated(SymbolicAngle(1, 0))
     patch = Patch(alpha)
     rad = patch.eval_rad
-    circum = 0.5 / math.sin(math.pi / 12.0)
     # anchor-to-center offset of the base dodecagon
-    verts = dodecagon_vertices(ORIGIN)
-    cx = sum(p.xy(rad)[0] for p in verts) / 12.0
-    cy = sum(p.xy(rad)[1] for p in verts) / 12.0
-    reach = extent + circum + math.hypot(cx, cy) + 1.0
+    cx, cy = dodecagon_center_xy(alpha)
+    reach = extent + DODECA_CIRCUM + math.hypot(cx, cy) + 1.0
     for i, j, base in _lattice_points(v1, v2, reach, rad):
         bx, by = base.xy(rad)
-        if math.hypot(bx + cx, by + cy) > extent + circum + 1e-9:
+        if math.hypot(bx + cx, by + cy) > extent + DODECA_CIRCUM + 1e-9:
             continue
         idx = choice.index_for((i, j))
         for t in fillings[idx].tiles:

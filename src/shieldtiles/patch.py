@@ -288,24 +288,17 @@ class Patch:
 
     def _vids_near(self, x, y, r):
         """Vertices in the unit cells that the box (x, y) +- r touches."""
-        for cx in range(math.floor(x - r), math.floor(x + r) + 1):
-            for cy in range(math.floor(y - r), math.floor(y + r) + 1):
-                yield from self._vgrid.get((cx, cy), ())
+        return _in_cells(self._vgrid, x, y, r)
 
     def _inside_some_edge(self, x, y) -> bool:
         """True iff (x, y) lies strictly inside an edge of the patch."""
-        cx, cy = math.floor(x), math.floor(y)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                segs = self._mid.get((cx + dx, cy + dy))
-                if not segs:
-                    continue
-                for mx, my, ax, ay, bx, by in segs:
-                    ux, uy = x - mx, y - my
-                    if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(
-                        x, y, ax, ay, bx, by
-                    ):
-                        return True
+        near = _in_cells(self._mid, x, y, 0.5 + GEOM_TOL)
+        for mx, my, ax, ay, bx, by in near:
+            ux, uy = x - mx, y - my
+            if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(
+                x, y, ax, ay, bx, by
+            ):
+                return True
         return False
 
     def _vertex_inside_edge(self, ax, ay, bx, by) -> bool:
@@ -336,9 +329,6 @@ class Patch:
 
     # -- construction ------------------------------------------------------
 
-    def tile_xys(self, pl: Placement) -> list[tuple[float, float]]:
-        return pl.corner_xy(self.eval_rad)
-
     def add_blocked(self, point: ExactPoint, start: Direction, ang: SymbolicAngle):
         """Reserve an angular sector at a vertex (used for region boundaries)."""
         if self._frozen:
@@ -361,7 +351,7 @@ class Patch:
             raise ValueError("patch is frozen")
         if not pl.is_exact and self.exact_keys:
             raise ValueError("numeric anchors require numeric alpha")
-        xys = self.tile_xys(pl)
+        xys = pl.corner_xy(self.eval_rad)
         pts = pl.corner_points() if pl.is_exact else [None] * len(xys)
         dirs = pl.corner_dirs()
 
@@ -709,6 +699,13 @@ def _disc(xys) -> tuple[float, float, float]:
     cx = sum(x for x, _ in xys) / n
     cy = sum(y for _, y in xys) / n
     return cx, cy, max(math.hypot(x - cx, y - cy) for x, y in xys)
+
+
+def _in_cells(table, x, y, r):
+    """Entries of the unit cells of table that the box (x, y) +- r touches."""
+    for cx in range(math.floor(x - r), math.floor(x + r) + 1):
+        for cy in range(math.floor(y - r), math.floor(y + r) + 1):
+            yield from table.get((cx, cy), ())
 
 
 def _mid_entry(ax, ay, bx, by):

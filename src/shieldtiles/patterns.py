@@ -3,9 +3,10 @@
 The engine fills angular gaps one at a time.  At the chosen gap there are
 exactly three ways to place a tile flush against the gap's starting ray
 (triangle corner, shield sharp corner, shield wide corner), so depth-first
-search over those choices is exhaustive.  Branches are cut when a partial
-vertex star cannot extend to any legal full star or when a remaining gap
-cannot be written as a non-negative combination of corner angles.
+search over those choices is exhaustive.  A branch is cut when a gap at a
+touched vertex cannot be written as a non-negative combination of corner
+angles: that is exactly when the partial vertex star extends to no atlas
+word (see star_completable).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec, make_alpha
-from .atlas import atlas_configs, gap_feasible, star_completable
-from .errors import BudgetExceeded, IncompleteCoverage, ShieldError
+from .atlas import atlas_configs, gap_feasible
+from .errors import BudgetExceeded, ShieldError
 from .patch import (
     GEOM_TOL,
     LABEL_CORNERS,
@@ -56,24 +57,40 @@ def _as_budget(budget: int | NodeBudget) -> NodeBudget:
     return budget if isinstance(budget, NodeBudget) else NodeBudget(budget)
 
 
+def star_completable(
+    blocks: list[tuple[str, SymbolicAngle]], alpha: AlphaSpec
+) -> bool:
+    """True iff some atlas word extends the partial vertex star whose cyclic
+    ('word', labels) and ('gap', angle) blocks are given.
+
+    Only the gaps are tested; the word blocks always fit.  Fill each gap
+    with corners whose angles sum to it: the filled star closes a full
+    turn, so its corner counts solve the vertex equation, and the atlas
+    holds every cyclic arrangement of every solution, the filled star
+    among them.  Conversely the corners that fill a gap in an atlas word
+    show that the gap is feasible.
+    """
+    return all(gap_feasible(g, alpha) for kind, g in blocks if kind == "gap")
+
+
 @dataclass
 class _Search:
     """Shared state for one depth-first completion run."""
 
     patch: Patch
-    frontier: object  # () -> list of (dist2, vid); empty when complete
+    frontier: object  # () -> nearest (dist2, vid), or None when complete
     budget: NodeBudget
     tile_filter: object = None
     on_solution: object = None
     first_only: bool = False
 
     def run(self) -> bool:
-        front = self.frontier()
-        if not front:
+        nearest = self.frontier()
+        if nearest is None:
             if self.on_solution is not None:
                 self.on_solution(self.patch)
             return self.first_only
-        _d, vid = min(front)
+        _d, vid = nearest
         gaps = self.patch.gaps(vid)
         start_dir, _sym, _gn = min(
             gaps, key=lambda g: g[0].value(self.patch.eval_rad) % (2 * math.pi)
@@ -93,52 +110,46 @@ class _Search:
 
     def _prune(self, cand: Placement, vids) -> bool:
         p = self.patch
-        alpha = p.alpha
         for v in set(vids):
-            blocked = any(iv[4] is None for iv in p._vertices[v].intervals)
-            for (_d, gsym, _gn) in p.gaps(v):
-                if not gap_feasible(gsym, alpha):
-                    return False
-            if not blocked and p.gaps(v):
-                if not star_completable(p.star_blocks(v), alpha):
-                    return False
-        if self.tile_filter is not None and not self.tile_filter(p, cand, vids):
-            return False
-        return True
+            if not star_completable(p.star_blocks(v), p.alpha):
+                return False
+        return self.tile_filter is None or self.tile_filter(p, cand, vids)
 
 
 def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
     return [placement_with_corner(*LABEL_CORNERS[lab], point, d) for lab in "TAB"]
 
 
-def _disk_frontier(patch: Patch, center_xy, radius: float):
-    """Gap-bearing endpoints of boundary edges intersecting the disk."""
+def _nearest_open(patch: Patch, center_xy, vids):
+    """Least (dist2, vid) among the vertices vids that have a gap, or None.
+
+    Only a vertex nearer than the best so far has its gaps looked up."""
     cx, cy = center_xy
-    out = []
-    seen = set()
-    for (u, v) in patch.boundary_edges():
-        ax, ay = patch.vertex_xy(u)
-        bx, by = patch.vertex_xy(v)
-        if gk.point_segment_dist(cx, cy, ax, ay, bx, by) > radius + GEOM_TOL:
-            continue
-        for w in (u, v):
-            if w in seen:
-                continue
-            seen.add(w)
-            if patch.gaps(w):
-                x, y = patch.vertex_xy(w)
-                out.append(((x - cx) ** 2 + (y - cy) ** 2, w))
-    return out
+    best = None
+    for w in vids:
+        x, y = patch.vertex_xy(w)
+        cand = ((x - cx) ** 2 + (y - cy) ** 2, w)
+        if (best is None or cand < best) and patch.gaps(w):
+            best = cand
+    return best
+
+
+def _disk_frontier(patch: Patch, center_xy, radius: float):
+    """Nearest gap-bearing endpoint of a boundary edge meeting the disk."""
+    cx, cy = center_xy
+    return _nearest_open(patch, center_xy, (
+        w
+        for (u, v) in patch.boundary_edges()
+        if gk.point_segment_dist(
+            cx, cy, *patch.vertex_xy(u), *patch.vertex_xy(v)
+        ) <= radius + GEOM_TOL
+        for w in (u, v)
+    ))
 
 
 def _gap_frontier(patch: Patch, center_xy):
-    cx, cy = center_xy
-    out = []
-    for vid in patch.vertex_ids():
-        if patch.gaps(vid):
-            x, y = patch.vertex_xy(vid)
-            out.append(((x - cx) ** 2 + (y - cy) ** 2, vid))
-    return out
+    """Nearest vertex with a gap."""
+    return _nearest_open(patch, center_xy, patch.vertex_ids())
 
 
 def fill_disk(
@@ -172,46 +183,24 @@ def fill_disk(
     return s.run()
 
 
-def fill_region(
-    patch: Patch,
-    center_xy,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    tile_filter=None,
-    on_solution=None,
-    first_only: bool = False,
-) -> bool:
-    """DFS until no vertex has an angular gap (bounded-region filling)."""
-    s = _Search(
-        patch=patch,
-        frontier=lambda: _gap_frontier(patch, center_xy),
-        budget=NodeBudget(budget),
-        tile_filter=tile_filter,
-        on_solution=on_solution,
-        first_only=first_only,
-    )
-    return s.run()
-
-
 # ---------------------------------------------------------------------------
 # Pattern balls
 # ---------------------------------------------------------------------------
 
 
 def complete_ball(
-    seed: Patch,
-    center_vid: int,
+    alpha: AlphaSpec,
     n: float,
     *,
     margin: float = DEFAULT_MARGIN,
     budget: int | NodeBudget = DEFAULT_BUDGET,
 ) -> set[PatternBall]:
-    """All pattern balls of radius n around a bare center that occur inside
-    completions of the radius n + margin disk.
+    """All pattern balls of radius n around a tiling vertex that occur
+    inside completions of the radius n + margin disk.
 
-    seed must hold the center vertex and nothing else; ValueError is raised
-    otherwise.  The margin discards local configurations that close the
-    disk but cannot grow any further.  Two steps, both run by fill_disk:
+    The center vertex sits at the origin of a patch of the function's own.
+    The margin discards local configurations that close the disk but cannot
+    grow any further.  Two steps, both run by fill_disk:
 
     1. For each atlas word, in sorted order, place its star around the
        center, first corner flush at direction 0, and search the
@@ -219,9 +208,10 @@ def complete_ball(
        to rotation and reflection, and the rotations about the center by
        edge directions and the reflection in the x axis map exact points
        to exact points, so every completion is isometric to one that
-       holds one of these stars: each center star is searched once.  Each completion yields its
-       ball, keyed by canonical_key: every tile is coded by its kind and
-       its corner set, which fixes a convex tile whatever its anchor.
+       holds one of these stars: each center star is searched once.
+       Each completion yields its ball, keyed by canonical_key: every tile
+       is coded by its kind and its corner set, which fixes a convex tile
+       whatever its anchor.
     2. For each new key, one first_only search out to n + margin, started
        from the ball's tiles, decides whether the ball extends.  Only balls
        that extend are kept.
@@ -238,34 +228,29 @@ def complete_ball(
     are placed directly and spend none.  On exhaustion BudgetExceeded is
     raised carrying the witnessed balls found so far.
     """
-    if len(seed) or len(seed.vertex_ids()) != 1 or seed.gaps(center_vid):
-        raise ValueError("complete_ball needs a bare center vertex")
     nodes = _as_budget(budget)
-    point = seed.vertex_point(center_vid)
+    patch = Patch(alpha)
+    center = patch.add_vertex(ORIGIN)
     found: dict[str, PatternBall] = {}
     refuted: set[str] = set()
     new_balls: list[PatternBall] = []
 
     def record(p: Patch):
-        try:
-            ball = p.extract_ball(center_vid, n)
-        except IncompleteCoverage:
-            return
-        new_balls.append(ball)
+        # an empty frontier leaves no boundary edge within n + GEOM_TOL of
+        # the center, so the ball is covered
+        new_balls.append(p.extract_ball(center, n))
 
     def search(tiles, radius: float, **kw) -> bool:
-        try:
-            for t in tiles:
-                seed.add_tile(t)
-            return fill_disk(seed, center_vid, radius, budget=nodes, **kw)
-        finally:
-            # also after a search was cut short
-            while len(seed):
-                seed.pop_tile()
+        for t in tiles:
+            patch.add_tile(t)
+        done = fill_disk(patch, center, radius, budget=nodes, **kw)
+        while len(patch):
+            patch.pop_tile()
+        return done
 
     try:
-        for cfg in sorted(atlas_configs(seed.alpha)):
-            search(star_placements(cfg.word, point), n, on_solution=record)
+        for cfg in sorted(atlas_configs(alpha)):
+            search(star_placements(cfg.word, ORIGIN), n, on_solution=record)
             for ball in new_balls:
                 key = ball.key()
                 if key in found or key in refuted:
@@ -306,7 +291,6 @@ def count_patterns(
     alpha: AlphaSpec,
     *,
     budget: int = DEFAULT_BUDGET,
-    margin: float = DEFAULT_MARGIN,
     keep: bool = True,
 ) -> PatternCount:
     """Count patterns up to isometry; also up to translation only.
@@ -316,12 +300,10 @@ def count_patterns(
     class are counted separately.  On budget exhaustion the counts are a
     verified lower bound, flagged with complete=False.
     """
-    patch = Patch(alpha)
-    vid = patch.add_vertex(ORIGIN)
     nodes = NodeBudget(budget)
     complete = True
     try:
-        balls = complete_ball(patch, vid, n, margin=margin, budget=nodes)
+        balls = complete_ball(alpha, n, budget=nodes)
     except BudgetExceeded as exc:
         balls = exc.partial
         complete = False
@@ -381,7 +363,7 @@ def dodecagon_center_xy(alpha: AlphaSpec, base: ExactPoint = ORIGIN):
     )
 
 
-def dodecagon_fillings(*, budget: int = DEFAULT_BUDGET) -> list[Patch]:
+def dodecagon_fillings() -> list[Patch]:
     """All ways to tile the unit-edge regular dodecagon.
 
     The list order defines the filling index used when generating packing
@@ -405,7 +387,12 @@ def dodecagon_fillings(*, budget: int = DEFAULT_BUDGET) -> list[Patch]:
         fillings.setdefault(ball.translation_key(), list(p.tiles))
 
     patch = dodecagon_patch(alpha)
-    fill_region(patch, cxy, budget=budget, on_solution=record)
+    _Search(
+        patch=patch,
+        frontier=lambda: _gap_frontier(patch, cxy),
+        budget=NodeBudget(DEFAULT_BUDGET),
+        on_solution=record,
+    ).run()
     out = []
     for tiles in sorted(
         fillings.values(), key=lambda ts: sorted(map(_placement_sort_key, ts))
@@ -425,23 +412,23 @@ def dodecagon_fillings(*, budget: int = DEFAULT_BUDGET) -> list[Patch]:
 # distance between adjacent dodecagon centers in the packing: 2 + sqrt(3)
 _PACK_PITCH = 2.0 + math.sqrt(3.0)
 # circumradius of the unit-edge regular dodecagon
-_DODECA_CIRCUM = 0.5 / math.sin(math.pi / 12.0)
+DODECA_CIRCUM = 0.5 / math.sin(math.pi / 12.0)
 
 
 def dodecagon_cells_inside(n: float) -> int:
     """Dodecagons of the packing wholly inside a radius-n disk centered at
     a tiling vertex."""
-    if n <= 2.0 * _DODECA_CIRCUM:
+    if n <= 2.0 * DODECA_CIRCUM:
         return 0
-    reach = n - _DODECA_CIRCUM
+    reach = n - DODECA_CIRCUM
     # centers form a triangular lattice (pitch 2 + sqrt(3), axes along the
     # shared-edge normals); the disk sits at a dodecagon vertex, which is
     # one circumradius from the nearest center at 15 degrees off an axis
     a = _PACK_PITCH
-    ox = _DODECA_CIRCUM * math.cos(math.pi / 12.0)
-    oy = _DODECA_CIRCUM * math.sin(math.pi / 12.0)
+    ox = DODECA_CIRCUM * math.cos(math.pi / 12.0)
+    oy = DODECA_CIRCUM * math.sin(math.pi / 12.0)
     count = 0
-    kmax = int((reach + _DODECA_CIRCUM) / (a * math.sqrt(3.0) / 2.0)) + 2
+    kmax = int((reach + DODECA_CIRCUM) / (a * math.sqrt(3.0) / 2.0)) + 2
     for j in range(-kmax, kmax + 1):
         for i in range(-kmax, kmax + 1):
             x = a * (i + 0.5 * j) + ox

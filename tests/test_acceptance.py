@@ -48,7 +48,7 @@ from shieldtiles.generators import (
     gen_triangle_tiling,
     hex_lattice_vector,
 )
-from shieldtiles.patch import Patch, PatternBall
+from shieldtiles.patch import PatternBall
 from shieldtiles.patterns import (
     complete_ball,
     count_patterns,
@@ -196,9 +196,7 @@ def test_criterion_4_family_roundtrip(capsys):
 def test_criterion_5_desk_scale_classification(capsys):
     t0 = time.perf_counter()
     n = 1.0  # two rings of tiles around the center vertex
-    seed = Patch(GENERIC)
-    vid = seed.add_vertex(ExactPoint.origin())
-    enumerated = {b.key() for b in complete_ball(seed, vid, n)}
+    enumerated = {b.key() for b in complete_ball(GENERIC, n)}
 
     harvested = set()
     for w in ("+", "++", "+-", "+++", "++-", "+-+"):

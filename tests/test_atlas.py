@@ -23,8 +23,8 @@ from shieldtiles.atlas import (
     gap_feasible,
     is_config_extendable,
     solve_vertex_equation,
-    star_completable,
 )
+from shieldtiles.patterns import star_completable
 from shieldtiles.symbolic import ANGLE_T, SymbolicAngle, full_turn_check
 
 RIGHT = make_alpha("rational", 1, 2)

@@ -1,21 +1,34 @@
 import hashlib
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from shieldtiles.alpha import GENERIC, make_alpha
+from shieldtiles.atlas import LABEL_ANGLES, atlas_configs
 from shieldtiles.errors import BudgetExceeded
-from shieldtiles.patch import Patch, star_placements
+from shieldtiles.patch import Placement
 from shieldtiles.patterns import (
     NodeBudget,
+    _Search,
     complete_ball,
     count_patterns,
     dodecagon_cells_inside,
     dodecagon_fillings,
     dodecagon_patch,
     entropy_bound,
+    gap_feasible,
+    star_completable,
 )
-from shieldtiles.symbolic import ExactPoint
+from shieldtiles.symbolic import (
+    ANGLE_T,
+    FULL_TURN,
+    ExactPoint,
+    SymbolicAngle,
+    angle_sum,
+    same_angle,
+)
 
 RIGHT = make_alpha("rational", 1, 2)
 DODECA_DIAMETER = 1.0 / math.sin(math.pi / 12.0)  # unit-edge circumdiameter
@@ -38,17 +51,10 @@ def test_first_ring_right_shield_count():
 
 
 def test_complete_ball_generic_one_ring():
-    patch = Patch(GENERIC)
-    vid = patch.add_vertex(ExactPoint.origin())
-    balls = complete_ball(patch, vid, 1.0)
+    balls = complete_ball(GENERIC, 1.0)
     assert len(balls) == 7
     keys = {b.key() for b in balls}
     assert len(keys) == 7
-
-
-def _bare_seed(alpha):
-    patch = Patch(alpha)
-    return patch, patch.add_vertex(ExactPoint.origin())
 
 
 def _keys_digest(keys) -> str:
@@ -78,8 +84,7 @@ def test_pattern_keys_pinned(n, alpha, count, digest):
 @pytest.mark.parametrize("n, alpha", [(1.0, GENERIC), (0.6, RIGHT)])
 def test_key_is_least_orbit_translation_key(n, alpha):
     # count_patterns takes each ball's key from the orbit it computes
-    patch, vid = _bare_seed(alpha)
-    balls = complete_ball(patch, vid, n)
+    balls = complete_ball(alpha, n)
     for b in balls:
         assert b.key() == min(b.orbit_translation_keys())
     assert count_patterns(n, alpha).patterns == {b.key() for b in balls}
@@ -105,8 +110,7 @@ def test_margin_discards_balls_that_cannot_grow(right_two_rings):
     # without a margin every ball that closes the disk counts; with the
     # default margin only those that extend out to n + margin: 58 against
     # 52, so a margin search that accepted every ball would show here
-    patch, vid = _bare_seed(RIGHT)
-    closed = {b.key() for b in complete_ball(patch, vid, 1.0, margin=0)}
+    closed = {b.key() for b in complete_ball(RIGHT, 1.0, margin=0)}
     assert len(closed) == 58
     assert right_two_rings.patterns < closed
 
@@ -125,31 +129,113 @@ def test_node_budget_is_exact():
 
 
 def test_node_budget_is_shared_by_all_searches_of_one_call():
-    patch, vid = _bare_seed(GENERIC)
     nodes = NodeBudget(10_000)
-    balls = complete_ball(patch, vid, 1.0, budget=nodes)
+    balls = complete_ball(GENERIC, 1.0, budget=nodes)
     used = nodes.used
     assert len(balls) == 7 and 0 < used < 10_000
     for limit in (1, used // 3, used - 1):
         with pytest.raises(BudgetExceeded) as exc:
-            complete_ball(patch, vid, 1.0, budget=limit)
+            complete_ball(GENERIC, 1.0, budget=limit)
         assert {b.key() for b in exc.value.partial} <= {b.key() for b in balls}
-        # the search that ran out of nodes left the seed as it was
-        assert len(patch) == 0 and len(patch.vertex_ids()) == 1
-    again = complete_ball(patch, vid, 1.0, budget=used)
+    again = complete_ball(GENERIC, 1.0, budget=used)
     assert {b.key() for b in again} == {b.key() for b in balls}
 
 
-def test_complete_ball_needs_a_bare_center():
-    one_tile, vid = _bare_seed(GENERIC)
-    one_tile.add_tile(star_placements("TTTTTT", ExactPoint.origin())[0])
-    two_vertices, _ = _bare_seed(GENERIC)
-    two_vertices.add_vertex(ExactPoint.from_dict({0: (1, 0)}))
-    for seed in (one_tile, two_vertices):
-        tiles, vids = list(seed.tiles), len(seed.vertex_ids())
-        with pytest.raises(ValueError):
-            complete_ball(seed, vid, 1.0)
-        assert (list(seed.tiles), len(seed.vertex_ids())) == (tiles, vids)
+# Reference: the partial-star matcher that pruning used before the per-gap
+# rule.  It tries every rotation and reflection of every atlas word, letting
+# each gap absorb letters whose angles sum to it.
+def _matcher_completable(blocks, alpha) -> bool:
+    if not any(kind == "word" for kind, _ in blocks):
+        return True
+    start = next(i for i, b in enumerate(blocks) if b[0] == "word")
+    cyc = blocks[start:] + blocks[:start]
+    for cfg in atlas_configs(alpha):
+        w, rev = cfg.word, cfg.word[::-1]
+        variants = {w[i:] + w[:i] for i in range(len(w))}
+        variants |= {rev[i:] + rev[:i] for i in range(len(w))}
+        if any(_match_tail(cyc, 0, v, 0, alpha) for v in variants):
+            return True
+    return False
+
+
+def _match_tail(cyc, ci, w, pos, alpha) -> bool:
+    if ci == len(cyc):
+        return pos == len(w)
+    kind, payload = cyc[ci]
+    if kind == "word":
+        end = pos + len(payload)
+        return w[pos:end] == payload and _match_tail(cyc, ci + 1, w, end, alpha)
+    return any(
+        same_angle(payload, angle_sum(LABEL_ANGLES[c] for c in w[pos:pos + k]),
+                   alpha)
+        and _match_tail(cyc, ci + 1, w, pos + k, alpha)
+        for k in range(len(w) - pos + 1)
+    )
+
+
+def test_star_completable_agrees_with_the_partial_star_matcher(monkeypatch):
+    # the matcher was asked only about stars with a gap and no blocked
+    # sector: compare on every such star at a vertex the searches touch
+    outcomes = Counter()
+    prune = _Search._prune
+
+    def checked(self, cand, vids):
+        p = self.patch
+        for v in set(vids):
+            blocked = any(iv[4] is None for iv in p._vertices[v].intervals)
+            if blocked or not p.gaps(v):
+                continue
+            blocks = p.star_blocks(v)
+            got = star_completable(blocks, p.alpha)
+            assert got == _matcher_completable(blocks, p.alpha), blocks
+            outcomes[got] += 1
+        return prune(self, cand, vids)
+
+    monkeypatch.setattr(_Search, "_prune", checked)
+    for n, alpha in [
+        (1.0, GENERIC),
+        (0.6, RIGHT),
+        (1.0, make_alpha("rational", 5, 12)),
+        (1.0, make_alpha("decimal", 110.3)),
+    ]:
+        assert count_patterns(n, alpha, keep=False).complete
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("alpha", [
+    GENERIC, RIGHT, make_alpha("rational", 5, 12), make_alpha("decimal", 110.3),
+])
+def test_star_completable_agrees_with_the_matcher_on_two_gap_stars(alpha):
+    # the searches above meet no star with two open gaps: here every short
+    # corner word is cut into two runs, and the rest of the turn into two gaps
+    outcomes = Counter()
+    rad = alpha.eval_radians()
+    for word in [w for k in (2, 3) for w in product("ABT", repeat=k)]:
+        rest = FULL_TURN - angle_sum(LABEL_ANGLES[c] for c in word)
+        for cut, a, b in product(range(1, len(word)), range(7), range(-2, 3)):
+            g = SymbolicAngle(a, b)
+            h = rest - g
+            if min(g.value(rad), h.value(rad)) < 1e-6:
+                continue
+            blocks = [("word", "".join(word[:cut])), ("gap", g),
+                      ("word", "".join(word[cut:])), ("gap", h)]
+            got = star_completable(blocks, alpha)
+            assert got == _matcher_completable(blocks, alpha), blocks
+            outcomes[gap_feasible(g, alpha), got] += 1
+    # a feasible first gap does not make the star completable
+    assert outcomes[True, True] and outcomes[True, False]
+
+
+def test_prune_checks_the_gaps_of_a_blocked_vertex():
+    # two triangles side by side in a corner of the dodecagon leave 150 - 120
+    # = 30 degrees there, which no corner fills
+    patch = dodecagon_patch(RIGHT)
+    search = _Search(patch=patch, frontier=None, budget=NodeBudget(0))
+    corner = ExactPoint.origin()
+    ((d, _sym, _rad),) = patch.gaps(0)
+    for heading, ok in ((d, True), (d.plus(ANGLE_T), False)):
+        t = Placement("T", corner, heading)
+        assert search._prune(t, patch.add_tile(t)) == ok
 
 
 @pytest.mark.parametrize("n, alpha, nodes", [(0.6, RIGHT, 99), (1.0, GENERIC, 318)])
