@@ -28,7 +28,7 @@ from .patterns import (
     dodecagon_fillings,
     entropy_bound,
 )
-from .render import RenderStyle, render_svg
+from .render import render_svg
 from .shieldio import load_file, loads, dumps, save_file
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "GENERIC",
     "Patch",
     "Placement",
-    "RenderStyle",
     "VertexConfig",
     "VertexCounts",
     "atlas_configs",

@@ -69,13 +69,6 @@ class AlphaSpec:
         """Numeric value for ordering/drawing; reference value if generic."""
         return self.rad if self.rad is not None else REFERENCE_ALPHA
 
-    def key(self):
-        if self.kind == "rational":
-            return ("rational", self.frac.numerator, self.frac.denominator)
-        if self.kind == "decimal":
-            return ("decimal", round(self.rad, 12))
-        return ("generic",)
-
     def __str__(self) -> str:
         if self.kind == "generic":
             return "generic"

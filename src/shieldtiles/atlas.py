@@ -95,15 +95,12 @@ def configs_from_counts(c: VertexCounts) -> set[VertexConfig]:
 
 
 @lru_cache(maxsize=None)
-def _atlas_cached(alpha_key, alpha: AlphaSpec) -> frozenset[VertexConfig]:
+def atlas_configs(alpha: AlphaSpec) -> frozenset[VertexConfig]:
+    """Every cyclic arrangement of every solution of the vertex equation."""
     configs = set()
     for c in solve_vertex_equation(alpha):
         configs |= configs_from_counts(c)
     return frozenset(configs)
-
-
-def atlas_configs(alpha: AlphaSpec) -> frozenset[VertexConfig]:
-    return _atlas_cached(alpha.key(), alpha)
 
 
 def atlas_words(alpha: AlphaSpec) -> frozenset[str]:

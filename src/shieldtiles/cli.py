@@ -22,7 +22,7 @@ from .generators import (
     gen_triangle_tiling,
 )
 from .patterns import DEFAULT_BUDGET, count_patterns, dodecagon_fillings
-from .render import RenderStyle, render_svg
+from .render import render_svg
 from .shieldio import FormatError, dumps, load_file, save_file
 
 CONFIG_NAMES = {"TTTTTT": "hex", "ATBT": "bowtie", "ABTT": "fault"}
@@ -95,7 +95,7 @@ def _cmd_fillings(args) -> int:
 
 def _cmd_render(args) -> int:
     patch = load_file(args.file)
-    svg = render_svg(patch, RenderStyle(scale=args.scale))
+    svg = render_svg(patch, args.scale)
     with open(args.svg, "w", encoding="utf-8") as f:
         f.write(svg)
     return 0

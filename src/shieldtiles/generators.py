@@ -11,16 +11,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .alpha import AlphaSpec, make_alpha
+from .alpha import AlphaSpec
 from .errors import MissingChoice, ShieldError
 from .patch import Patch, Placement
 from .patterns import (
     DODECA_CIRCUM,
-    dodecagon_center_xy,
+    RIGHT,
     dodecagon_fillings,
     fill_disk,
+    packing_cells,
 )
-from .symbolic import Direction, ExactPoint, SymbolicAngle, unit_vector
+from .symbolic import (
+    Direction,
+    ExactPoint,
+    SymbolicAngle,
+    lattice_points,
+    unit_vector,
+)
 
 EP = ExactPoint.from_dict
 ORIGIN = EP({})
@@ -101,22 +108,6 @@ def _seed_hex(patch: Patch, center: ExactPoint, with_ring: bool):
             patch.add_tile(s)
 
 
-def _lattice_points(v1: ExactPoint, v2: ExactPoint, reach: float, rad: float):
-    """Integer combinations i*v1 + j*v2 with |point| <= reach."""
-    x1, y1 = v1.xy(rad)
-    x2, y2 = v2.xy(rad)
-    pitch = min(math.hypot(x1, y1), math.hypot(x2, y2))
-    m = int(reach / pitch * 2.0) + 2
-    out = []
-    for i in range(-m, m + 1):
-        for j in range(-m, m + 1):
-            x = i * x1 + j * x2
-            y = i * y1 + j * y2
-            if math.hypot(x, y) <= reach + 1e-9:
-                out.append((i, j, v1.scaled(i) + v2.scaled(j)))
-    return out
-
-
 def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
     """Window of the order-k shield triangle tiling around a hex vertex.
 
@@ -148,7 +139,7 @@ def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
     v1 = hex_lattice_vector(order)
     v2 = v1.rotated(SymbolicAngle(1, 0))
     rad = patch.eval_rad
-    centers = _lattice_points(v1, v2, extent + 3.0, rad)
+    centers = lattice_points(v1, v2, extent + 3.0, rad)
     whitelist = set()
     for _i, _j, c in centers:
         _seed_hex(patch, c, with_ring=True)
@@ -196,10 +187,6 @@ class DodecagonChoice:
         raise MissingChoice(f"no filling chosen for dodecagon cell {cell}")
 
 
-# translation between nearest dodecagon centers of the packing
-DODECAGON_NORTH = EP({0: (-1, 2), 1: (2, 0)})
-
-
 def gen_dodecagon_tiling(choice: DodecagonChoice, extent: int) -> Patch:
     """Window of a right-shield tiling built from the dodecagon packing.
 
@@ -208,19 +195,9 @@ def gen_dodecagon_tiling(choice: DodecagonChoice, extent: int) -> Patch:
     """
     if extent < 1:
         raise ValueError("extent must be >= 1")
-    alpha = make_alpha("rational", 1, 2)
     fillings = dodecagon_fillings()
-    v1 = DODECAGON_NORTH
-    v2 = v1.rotated(SymbolicAngle(1, 0))
-    patch = Patch(alpha)
-    rad = patch.eval_rad
-    # anchor-to-center offset of the base dodecagon
-    cx, cy = dodecagon_center_xy(alpha)
-    reach = extent + DODECA_CIRCUM + math.hypot(cx, cy) + 1.0
-    for i, j, base in _lattice_points(v1, v2, reach, rad):
-        bx, by = base.xy(rad)
-        if math.hypot(bx + cx, by + cy) > extent + DODECA_CIRCUM + 1e-9:
-            continue
+    patch = Patch(RIGHT)
+    for i, j, base in packing_cells(extent + DODECA_CIRCUM):
         idx = choice.index_for((i, j))
         for t in fillings[idx].tiles:
             patch.add_tile(t.translated(base))

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec
-from .atlas import LABEL_ANGLES, atlas_words, canonical_word
+from .atlas import LABEL_ANGLES, canonical_word
 from .errors import (
     AtlasViolation,
     EdgeMismatchError,
@@ -31,12 +31,11 @@ from .errors import (
     OverlapError,
 )
 from .symbolic import (
-    FULL_TURN,
     HALF_TURN,
     Direction,
     ExactPoint,
     SymbolicAngle,
-    angle_sum,
+    full_turn_check,
     unit_vector,
 )
 
@@ -241,7 +240,6 @@ class Patch:
         self._tile_discs: list[tuple[float, float, float]] = []
         self._grid: dict[tuple[int, int], list[int]] = {}
         self._vgrid: dict[tuple[int, int], list[int]] = {}
-        self._atlas = atlas_words(alpha)
         # vid -> (gaps, index in the sorted intervals of the one before each
         # gap); dropped whenever the vertex's intervals change
         self._gap_cache: dict[int, tuple] = {}
@@ -528,8 +526,11 @@ class Patch:
 
         word is the canonical corner word when the corners close a full turn
         with no blocked sector, else None.  fault is "overlap" when the
-        corners exceed a full turn, "atlas" when word is not in the atlas,
-        else None.
+        corners exceed a full turn, "atlas" when they close it within
+        TURN_TOL but their angles do not solve the vertex equation (the atlas
+        holds every arrangement of every solution), else None.  Only a
+        decimal alpha within about 1e-7 rad of a special value can close a
+        star that the equation, exact to 1e-9, rejects.
         """
         total = sum(iv[1] - iv[0] for iv in ivs)
         if total > TWO_PI + TURN_TOL:
@@ -537,7 +538,8 @@ class Patch:
         if abs(total - TWO_PI) >= TURN_TOL or any(iv[4] is None for iv in ivs):
             return None, None
         word = canonical_word("".join(iv[5] for iv in sorted(ivs)))
-        return (None if word in self._atlas else "atlas"), word
+        legal = full_turn_check((iv[3] for iv in ivs), self.alpha)
+        return (None if legal else "atlas"), word
 
     def gaps(self, vid: int) -> tuple[tuple[Direction, SymbolicAngle, float], ...]:
         """Open angular gaps at a vertex: (start direction, extent, extent rad).
@@ -566,8 +568,6 @@ class Patch:
             s, e, start, ang, _t, _lab = ivs[i]
             nxt = ivs[(i + 1) % m]
             gap_num = (nxt[0] - e) % TWO_PI
-            if i == m - 1:
-                gap_num = (ivs[0][0] + TWO_PI - e) % TWO_PI
             # values within rounding error of 0 or 2*pi mean no gap
             if gap_num < TURN_TOL or gap_num > TWO_PI - TURN_TOL:
                 continue
@@ -613,19 +613,9 @@ class Patch:
         if self._report is not None:
             return self._report
         rep = ValidationReport()
-        # tile boundary closure (exact where possible)
-        for i, pl in enumerate(self.tiles):
-            if pl.is_exact:
-                p = pl.anchor
-                for _lab, d, _ang in pl.corner_dirs():
-                    p = p.step(d)
-                if self.exact_keys and p != pl.anchor:
-                    rep.add("closure", f"tile {i} boundary does not close")
-                elif not self.exact_keys:
-                    ax, ay = pl.anchor.xy(self.eval_rad)
-                    px, py = p.xy(self.eval_rad)
-                    if math.hypot(px - ax, py - ay) > GEOM_TOL:
-                        rep.add("closure", f"tile {i} boundary does not close")
+        # every tile's boundary walk closes by construction: a shield's edge
+        # directions d + {0, 2, 4}*pi/3 and d + alpha + {-1, 1, 3}*pi/3, and a
+        # triangle's three, are triples of unit vectors summing to 0
         # edges shared by at most two tiles, endpoint to endpoint
         for ek, ts in self._edges.items():
             if len(ts) > 2:
@@ -638,18 +628,13 @@ class Patch:
             near = [j for j in self._tile_ids_near(disc[0], disc[1]) if j < i]
             for j in self._overlaps(self._tile_polys[i], disc, near):
                 rep.add("overlap", f"tiles {j} and {i} overlap")
-        # interior vertex stars belong to the atlas
+        # closed interior vertex stars solve the vertex equation
         for vid, v in enumerate(self._vertices):
             fault, word = self._star_verdict(v.intervals)
             if fault == "overlap":
                 rep.add("overlap", f"vertex {vid} corners exceed a full turn")
             elif fault == "atlas":
                 rep.add("atlas", f"vertex {vid} star {word} not in atlas")
-            # generic alpha: re-check the closure symbolically
-            if word is not None and self.exact_keys and (
-                angle_sum(iv[3] for iv in v.intervals) != FULL_TURN
-            ):
-                rep.add("closure", f"vertex {vid} star sum != 2pi")
         self._report = rep
         return rep
 

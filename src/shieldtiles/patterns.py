@@ -28,7 +28,7 @@ from .patch import (
     placement_with_corner,
     star_placements,
 )
-from .symbolic import Direction, ExactPoint, SymbolicAngle
+from .symbolic import Direction, ExactPoint, SymbolicAngle, lattice_points
 
 DEFAULT_BUDGET = 2_000_000
 DEFAULT_MARGIN = 1.0
@@ -321,7 +321,7 @@ def count_patterns(
 
 
 # ---------------------------------------------------------------------------
-# Dodecagon fillings (right shield, 3.12.12 packing)
+# Dodecagon packing and its fillings (right shield, 3.12.12 packing)
 # ---------------------------------------------------------------------------
 
 # unit-edge regular dodecagon traversed counterclockwise; edge k has
@@ -333,34 +333,61 @@ _DODECA_DIRS = [
 
 DODECAGON_EXTERIOR = SymbolicAngle(2, 1)  # 210 degrees at alpha = pi/2
 
+RIGHT = make_alpha("rational", 1, 2)
 
-def dodecagon_vertices(base: ExactPoint = ORIGIN) -> list[ExactPoint]:
-    pts = [base]
-    p = base
+
+def dodecagon_vertices() -> list[ExactPoint]:
+    """Corners of the dodecagon whose first edge leaves the origin at 0 degrees."""
+    pts = [ORIGIN]
     for d in _DODECA_DIRS[:-1]:
-        p = p.step(d)
-        pts.append(p)
+        pts.append(pts[-1].step(d))
     return pts
 
 
-def dodecagon_patch(alpha: AlphaSpec, base: ExactPoint = ORIGIN) -> Patch:
+def dodecagon_patch() -> Patch:
     """Empty patch whose outside of one dodecagon is blocked off."""
-    patch = Patch(alpha)
-    pts = dodecagon_vertices(base)
-    for k, p in enumerate(pts):
-        d_out = _DODECA_DIRS[k]
-        d_in = _DODECA_DIRS[k - 1]
-        patch.add_blocked(p, d_in.opposite(), DODECAGON_EXTERIOR)
+    patch = Patch(RIGHT)
+    for k, p in enumerate(dodecagon_vertices()):
+        patch.add_blocked(p, _DODECA_DIRS[k - 1].opposite(), DODECAGON_EXTERIOR)
     return patch
 
 
-def dodecagon_center_xy(alpha: AlphaSpec, base: ExactPoint = ORIGIN):
-    rad = alpha.eval_radians()
-    pts = [p.xy(rad) for p in dodecagon_vertices(base)]
+def dodecagon_center_xy():
+    rad = RIGHT.radians()
+    pts = [p.xy(rad) for p in dodecagon_vertices()]
     return (
         sum(x for x, _ in pts) / 12.0,
         sum(y for _, y in pts) / 12.0,
     )
+
+
+# circumradius of the unit-edge regular dodecagon
+DODECA_CIRCUM = 0.5 / math.sin(math.pi / 12.0)
+
+# translation between nearest dodecagon centers of the packing: 2 + sqrt(3)
+# to the north; the centers form a triangular lattice
+DODECAGON_NORTH = ExactPoint.from_dict({0: (-1, 2), 1: (2, 0)})
+
+
+def packing_cells(rho: float) -> list[tuple[int, int, ExactPoint]]:
+    """Cells (i, j, base) of the dodecagon packing whose center lies within
+    rho of the origin, a corner of cell (0, 0).
+
+    Cell (i, j) is the dodecagon of dodecagon_vertices translated by
+    base = i*north + j*(north turned by 60 degrees).  Its center is base
+    plus the center offset, one circumradius from the origin at 75 degrees.
+    """
+    rad = RIGHT.radians()
+    cx, cy = dodecagon_center_xy()
+    north = DODECAGON_NORTH
+    out = []
+    for i, j, base in lattice_points(
+        north, north.rotated(SymbolicAngle(1, 0)), rho + DODECA_CIRCUM, rad
+    ):
+        bx, by = base.xy(rad)
+        if math.hypot(bx + cx, by + cy) <= rho + 1e-9:
+            out.append((i, j, base))
+    return out
 
 
 def dodecagon_fillings() -> list[Patch]:
@@ -370,13 +397,12 @@ def dodecagon_fillings() -> list[Patch]:
     tilings.  Fillings are ordered by their sorted placements (kind, exact
     anchor, heading), so the index does not depend on the key format.
     """
-    alpha = make_alpha("rational", 1, 2)
-    cxy = dodecagon_center_xy(alpha)
+    cxy = dodecagon_center_xy()
     fillings: dict[str, list[Placement]] = {}
 
     def record(p: Patch):
         ball = PatternBall(
-            alpha=alpha,
+            alpha=RIGHT,
             center=None,
             center_xy=cxy,
             radius=0.0,
@@ -386,7 +412,7 @@ def dodecagon_fillings() -> list[Patch]:
         # one filling are different choices when packing
         fillings.setdefault(ball.translation_key(), list(p.tiles))
 
-    patch = dodecagon_patch(alpha)
+    patch = dodecagon_patch()
     _Search(
         patch=patch,
         frontier=lambda: _gap_frontier(patch, cxy),
@@ -397,7 +423,7 @@ def dodecagon_fillings() -> list[Patch]:
     for tiles in sorted(
         fillings.values(), key=lambda ts: sorted(map(_placement_sort_key, ts))
     ):
-        q = Patch(alpha)
+        q = Patch(RIGHT)
         for t in tiles:
             q.add_tile(t)
         q.require_valid()
@@ -409,33 +435,13 @@ def dodecagon_fillings() -> list[Patch]:
 # Entropy lower bound
 # ---------------------------------------------------------------------------
 
-# distance between adjacent dodecagon centers in the packing: 2 + sqrt(3)
-_PACK_PITCH = 2.0 + math.sqrt(3.0)
-# circumradius of the unit-edge regular dodecagon
-DODECA_CIRCUM = 0.5 / math.sin(math.pi / 12.0)
-
 
 def dodecagon_cells_inside(n: float) -> int:
     """Dodecagons of the packing wholly inside a radius-n disk centered at
     a tiling vertex."""
     if n <= 2.0 * DODECA_CIRCUM:
         return 0
-    reach = n - DODECA_CIRCUM
-    # centers form a triangular lattice (pitch 2 + sqrt(3), axes along the
-    # shared-edge normals); the disk sits at a dodecagon vertex, which is
-    # one circumradius from the nearest center at 15 degrees off an axis
-    a = _PACK_PITCH
-    ox = DODECA_CIRCUM * math.cos(math.pi / 12.0)
-    oy = DODECA_CIRCUM * math.sin(math.pi / 12.0)
-    count = 0
-    kmax = int((reach + DODECA_CIRCUM) / (a * math.sqrt(3.0) / 2.0)) + 2
-    for j in range(-kmax, kmax + 1):
-        for i in range(-kmax, kmax + 1):
-            x = a * (i + 0.5 * j) + ox
-            y = a * (math.sqrt(3.0) / 2.0) * j + oy
-            if math.hypot(x, y) <= reach + 1e-12:
-                count += 1
-    return count
+    return len(packing_cells(n - DODECA_CIRCUM))
 
 
 def entropy_bound(n: float) -> float:

@@ -1,33 +1,17 @@
 """Deterministic SVG rendering of patches.
 
 Generic-alpha patches are drawn at the reference value 99 degrees; output
-bytes depend only on the patch and style.
+bytes depend only on the patch and the scale.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 from .patch import Patch
 
-
-def _default_palette() -> dict[str, str]:
-    return {"T": "#f5f0e6", "S": "#7fb3d5"}
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    scale: float = 60.0  # pixels per unit edge
-    palette: dict = field(default_factory=_default_palette)
-    stroke_width: float = 1.0
-    stroke: str = "#333333"
-    margin: float = 0.6  # in edge units
-    label_vertices: bool = False
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+PALETTE = {"T": "#f5f0e6", "S": "#7fb3d5"}
+STROKE = "#333333"
+STROKE_WIDTH = 1.0
+MARGIN = 0.6  # in edge units
 
 
 def _fmt(x: float) -> str:
@@ -35,7 +19,10 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def render_svg(patch: Patch, style: RenderStyle = RenderStyle()) -> str:
+def render_svg(patch: Patch, scale: float = 60.0) -> str:
+    """SVG drawing of the patch at `scale` pixels per unit edge."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     rad = patch.alpha.eval_radians()
     polys = []
     xs, ys = [0.0], [0.0]
@@ -44,42 +31,26 @@ def render_svg(patch: Patch, style: RenderStyle = RenderStyle()) -> str:
         polys.append((t.kind, pts))
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
-    m = style.margin
-    x0, x1 = min(xs) - m, max(xs) + m
-    y0, y1 = min(ys) - m, max(ys) + m
-    s = style.scale
-    w, h = (x1 - x0) * s, (y1 - y0) * s
+    x0, x1 = min(xs) - MARGIN, max(xs) + MARGIN
+    y0, y1 = min(ys) - MARGIN, max(ys) + MARGIN
+    w, h = (x1 - x0) * scale, (y1 - y0) * scale
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         # flip y so the mathematical orientation is upright on screen
-        return ((x - x0) * s, (y1 - y) * s)
+        return ((x - x0) * scale, (y1 - y) * scale)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(w)}" height="{_fmt(h)}" '
         f'viewBox="0 0 {_fmt(w)} {_fmt(h)}">',
-        f'<g stroke="{style.stroke}" '
-        f'stroke-width="{_fmt(style.stroke_width)}" '
+        f'<g stroke="{STROKE}" stroke-width="{_fmt(STROKE_WIDTH)}" '
         'stroke-linejoin="round">',
     ]
     for kind, pts in polys:
         coords = " ".join(
             f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in pts)
         )
-        fill = style.palette.get(kind, "#cccccc")
-        out.append(f'<polygon points="{coords}" fill="{fill}"/>')
-    out.append("</g>")
-    if style.label_vertices:
-        out.append('<g font-size="10" text-anchor="middle" stroke="none">')
-        for vid in patch.vertex_ids():
-            word = patch.interior_word(vid)
-            if word is None:
-                continue
-            px, py = to_px(*patch.vertex_xy(vid))
-            out.append(
-                f'<text x="{_fmt(px)}" y="{_fmt(py)}">{word}</text>'
-            )
-        out.append("</g>")
-    out.append("</svg>")
+        out.append(f'<polygon points="{coords}" fill="{PALETTE[kind]}"/>')
+    out += ["</g>", "</svg>"]
     return "\n".join(out) + "\n"

@@ -162,6 +162,23 @@ def unit_vector(d: Direction) -> ExactPoint:
     return ExactPoint.from_dict({d.b: (u, v)})
 
 
+def lattice_points(v1: ExactPoint, v2: ExactPoint, reach: float, rad: float):
+    """Integer combinations (i, j, i*v1 + j*v2) with |i*v1 + j*v2| <= reach,
+    i then j ascending."""
+    x1, y1 = v1.xy(rad)
+    x2, y2 = v2.xy(rad)
+    pitch = min(math.hypot(x1, y1), math.hypot(x2, y2))
+    m = int(reach / pitch * 2.0) + 2
+    out = []
+    for i in range(-m, m + 1):
+        for j in range(-m, m + 1):
+            x = i * x1 + j * x2
+            y = i * y1 + j * y2
+            if math.hypot(x, y) <= reach + 1e-9:
+                out.append((i, j, v1.scaled(i) + v2.scaled(j)))
+    return out
+
+
 def angle_sum(angles: Iterable[SymbolicAngle]) -> SymbolicAngle:
     a = b = 0
     for x in angles:

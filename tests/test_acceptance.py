@@ -20,12 +20,8 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-import pytest
-
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import (
-    ExtendableWitness,
-    ProvenImpossible,
     Unknown,
     atlas_words,
     configs_from_counts,
@@ -256,7 +252,7 @@ def test_criterion_6_dodecagon_fillings(capsys):
     # the 30-degree rotation orbit of filling 0.
     t0 = time.perf_counter()
     fillings = _fillings()
-    cxy = dodecagon_center_xy(RIGHT)
+    cxy = dodecagon_center_xy()
     balls = [_filling_ball(p.tiles, cxy) for p in fillings]
     fixed_keys = [b.translation_key() for b in balls]
     n_fixed_frame = len(set(fixed_keys))

@@ -65,15 +65,6 @@ def test_parse_alpha_forms():
     )
 
 
-def test_keys_distinguish_kinds():
-    ks = {
-        GENERIC.key(),
-        make_alpha("rational", 1, 2).key(),
-        make_alpha("decimal", 99.34).key(),
-    }
-    assert len(ks) == 3
-
-
 @given(
     st.floats(min_value=60.01, max_value=119.99).filter(
         lambda d: all(abs(d - sp) > 1e-6 for sp in SPECIAL_DEGREES)

@@ -15,7 +15,6 @@ from shieldtiles.atlas import (
     ExtendableWitness,
     ProvenImpossible,
     VertexConfig,
-    atlas_configs,
     atlas_words,
     canonical_word,
     configs_from_counts,
@@ -25,7 +24,7 @@ from shieldtiles.atlas import (
     solve_vertex_equation,
 )
 from shieldtiles.patterns import star_completable
-from shieldtiles.symbolic import ANGLE_T, SymbolicAngle, full_turn_check
+from shieldtiles.symbolic import SymbolicAngle, full_turn_check
 
 RIGHT = make_alpha("rational", 1, 2)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -66,6 +67,20 @@ def test_dodecagon_tilings_validate(filling):
     words = census_words(patch)
     assert words <= {"AAAA", "BBT", "ABTT", "ATATT", "ATBT", "AATTT", "TTTTTT"}
     assert "AAAA" in words or "BBT" in words  # right-shield signatures
+
+
+@pytest.mark.parametrize("filling, digest", [
+    (0, "33e3c428f98e8387bf8c96c797274d7762c25b66302da5ec2156ffe4851db1a1"),
+    (1, "8305da825f2ad893cdbe34d7de2ddee27dfe895722482432290e01091be3a335"),
+    (2, "3f425b13cdf778edc6f024f40c018e244080b436c05457db614fc92e24db80af"),
+])
+def test_dodecagon_window_placements_pinned(filling, digest):
+    # the ordered placements, so a cell placed elsewhere or in another
+    # order shows
+    patch = gen_dodecagon_tiling(DodecagonChoice.constant(filling), 4)
+    text = repr([(t.kind, t.anchor.coeffs, t.heading.a, t.heading.b)
+                 for t in patch.tiles])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_line_word_is_bottom_to_top():

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from shieldtiles.alpha import GENERIC, make_alpha
-from shieldtiles.atlas import LABEL_ANGLES, atlas_configs
-from shieldtiles.errors import BudgetExceeded
-from shieldtiles.patch import Placement
+from shieldtiles.atlas import LABEL_ANGLES, atlas_configs, atlas_words
+from shieldtiles.errors import AtlasViolation, BudgetExceeded
+from shieldtiles.patch import Patch, Placement
 from shieldtiles.patterns import (
     NodeBudget,
     _Search,
@@ -24,6 +24,7 @@ from shieldtiles.patterns import (
 from shieldtiles.symbolic import (
     ANGLE_T,
     FULL_TURN,
+    Direction,
     ExactPoint,
     SymbolicAngle,
     angle_sum,
@@ -229,7 +230,7 @@ def test_star_completable_agrees_with_the_matcher_on_two_gap_stars(alpha):
 def test_prune_checks_the_gaps_of_a_blocked_vertex():
     # two triangles side by side in a corner of the dodecagon leave 150 - 120
     # = 30 degrees there, which no corner fills
-    patch = dodecagon_patch(RIGHT)
+    patch = dodecagon_patch()
     search = _Search(patch=patch, frontier=None, budget=NodeBudget(0))
     corner = ExactPoint.origin()
     ((d, _sym, _rad),) = patch.gaps(0)
@@ -259,7 +260,7 @@ def test_dodecagon_fillings_are_rotations_of_one_shape():
     from shieldtiles.patch import PatternBall
     from shieldtiles.patterns import dodecagon_center_xy
 
-    cxy = dodecagon_center_xy(RIGHT)
+    cxy = dodecagon_center_xy()
     balls = [
         PatternBall(alpha=RIGHT, center=None, center_xy=cxy, radius=0.0,
                     tiles=tuple(p.tiles))
@@ -275,7 +276,7 @@ def test_dodecagon_filling_indices_are_stable():
     # 90*j - 30*k degrees from the dodecagon center
     from shieldtiles.patterns import dodecagon_center_xy
 
-    cx, cy = dodecagon_center_xy(RIGHT)
+    cx, cy = dodecagon_center_xy()
     rad = RIGHT.eval_radians()
     for k, p in enumerate(dodecagon_fillings()):
         turns = set()
@@ -289,7 +290,7 @@ def test_dodecagon_filling_indices_are_stable():
 
 
 def test_dodecagon_boundary_patch_has_no_tiles():
-    patch = dodecagon_patch(RIGHT)
+    patch = dodecagon_patch()
     assert len(patch) == 0
 
 
@@ -314,6 +315,46 @@ def test_cells_nondecreasing_and_quadratic():
         prev = d
     for n in range(4, 20):
         assert dodecagon_cells_inside(2 * n) >= 3 * dodecagon_cells_inside(n)
+
+
+def test_cells_inside_pinned():
+    # a packing lattice turned or shifted the wrong way moves these
+    assert [dodecagon_cells_inside(n) for n in range(31)] == [
+        0, 0, 0, 0, 2, 3, 4, 6, 10, 12, 16, 22, 27, 30, 40, 44, 50, 58, 67,
+        74, 84, 98, 104, 114, 128, 139, 148, 166, 178, 190, 210,
+    ]
+
+
+def test_star_verdict_agrees_with_the_atlas_words(monkeypatch):
+    # reference: a closed star is legal iff its canonical word is an atlas
+    # word; the patch decides by the vertex equation instead
+    judge = Patch._star_verdict
+    seen = Counter()
+
+    def checked(self, ivs):
+        fault, word = judge(self, ivs)
+        if word is not None:
+            legal = word in atlas_words(self.alpha)
+            assert (fault is None) == legal, (str(self.alpha), word, fault)
+            seen[legal] += 1
+        return fault, word
+
+    monkeypatch.setattr(Patch, "_star_verdict", checked)
+    for n, alpha in (
+        (1.0, GENERIC),
+        (0.6, RIGHT),
+        (1.0, make_alpha("rational", 5, 12)),
+        (1.0, make_alpha("decimal", 110.3)),
+    ):
+        assert count_patterns(n, alpha, keep=False).complete
+    # four sharp corners a microdegree above pi/2 close a turn within the
+    # patch's tolerance, and neither the atlas nor the equation admits them
+    patch = Patch(make_alpha("decimal", 90 + 1e-6))
+    for k in range(3):
+        patch.add_tile(Placement("S", ExactPoint.origin(), Direction.of(0, k)))
+    with pytest.raises(AtlasViolation):
+        patch.add_tile(Placement("S", ExactPoint.origin(), Direction.of(0, 3)))
+    assert seen[True] and seen[False]
 
 
 def test_right_shield_counts_dominate_generic():
