@@ -311,18 +311,24 @@ class Patch:
                 return True
         return False
 
+    def _discs_meeting(self, disc, ids):
+        """Tiles among ids whose bounding disc meets disc, within GEOM_TOL.
+
+        disc is (cx, cy, r), as made by _disc."""
+        cx, cy, r = disc
+        for tid in ids:
+            ox, oy, orad = self._tile_discs[tid]
+            reach = r + orad + GEOM_TOL
+            if (ox - cx) ** 2 + (oy - cy) ** 2 < reach * reach:
+                yield tid
+
     def _overlaps(self, flat, disc, ids):
         """Tiles among ids whose interior meets the polygon flat.
 
         disc is (cx, cy, r) with every corner of flat within r of (cx, cy);
         a tile whose disc it does not meet is passed over."""
-        cx, cy, r = disc
-        for tid in ids:
-            ox, oy, orad = self._tile_discs[tid]
-            reach = r + orad + GEOM_TOL
-            if (ox - cx) ** 2 + (oy - cy) ** 2 < reach * reach and (
-                gk.convex_overlap(flat, self._tile_polys[tid], GEOM_TOL)
-            ):
+        for tid in self._discs_meeting(disc, ids):
+            if gk.convex_overlap(flat, self._tile_polys[tid], GEOM_TOL):
                 yield tid
 
     # -- construction ------------------------------------------------------
@@ -401,11 +407,12 @@ class Patch:
         for vid, iv in new_intervals:
             if vid >= len(self._vertices):
                 continue
-            fault, word = self._star_verdict(self._vertices[vid].intervals + [iv])
+            ivs = self._vertices[vid].intervals + [iv]
+            fault, _closed = self._star_verdict(ivs)
             if fault == "overlap":
                 raise OverlapError("corner angles exceed a full turn")
             if fault == "atlas":
-                raise AtlasViolation(f"interior star {word} not in atlas")
+                raise AtlasViolation(f"interior star {_star_word(ivs)} not in atlas")
 
         # -- commit --
         journal = []
@@ -517,29 +524,42 @@ class Patch:
     def vertex_point(self, vid: int):
         return self._vertices[vid].point
 
+    def tiles_at(self, vid: int) -> set[int]:
+        """Indices of the tiles with a corner at a vertex."""
+        return {iv[4] for iv in self._vertices[vid].intervals if iv[4] is not None}
+
+    def tiles_touching(self, pl: Placement):
+        """Indices of the placed tiles whose bounding disc meets pl's, within
+        GEOM_TOL.  Every check of add_tile looks at no other tile: an
+        overlap, a shared edge, a corner on an edge or a corner at a shared
+        vertex each puts a point of the other tile on pl's disc."""
+        disc = _disc(pl.corner_xy(self.eval_rad))
+        return self._discs_meeting(disc, self._tile_ids_near(disc[0], disc[1]))
+
     def interior_word(self, vid: int) -> str | None:
         """Canonical corner word of a full star without blocked sectors."""
-        return self._star_verdict(self._vertices[vid].intervals)[1]
+        ivs = self._vertices[vid].intervals
+        return _star_word(ivs) if self._star_verdict(ivs)[1] else None
 
-    def _star_verdict(self, ivs) -> tuple[str | None, str | None]:
-        """(fault, word) for the corner intervals ivs around one vertex.
+    def _star_verdict(self, ivs) -> tuple[str | None, bool]:
+        """(fault, closed) for the corner intervals ivs around one vertex.
 
-        word is the canonical corner word when the corners close a full turn
-        with no blocked sector, else None.  fault is "overlap" when the
-        corners exceed a full turn, "atlas" when they close it within
-        TURN_TOL but their angles do not solve the vertex equation (the atlas
-        holds every arrangement of every solution), else None.  Only a
-        decimal alpha within about 1e-7 rad of a special value can close a
-        star that the equation, exact to 1e-9, rejects.
+        closed is True when the corners close a full turn within TURN_TOL
+        with no blocked sector.  fault is "overlap" when the corners exceed
+        a full turn, "atlas" when they close it but their angles do not
+        solve the vertex equation (the atlas holds every arrangement of
+        every solution), else None.  Only a decimal alpha within about 1e-7
+        rad of a special value can close a star that the equation, exact to
+        1e-9, rejects.  The corner word is left to _star_word, for the
+        callers that read it.
         """
         total = sum(iv[1] - iv[0] for iv in ivs)
         if total > TWO_PI + TURN_TOL:
-            return "overlap", None
+            return "overlap", False
         if abs(total - TWO_PI) >= TURN_TOL or any(iv[4] is None for iv in ivs):
-            return None, None
-        word = canonical_word("".join(iv[5] for iv in sorted(ivs)))
+            return None, False
         legal = full_turn_check((iv[3] for iv in ivs), self.alpha)
-        return (None if legal else "atlas"), word
+        return (None if legal else "atlas"), True
 
     def gaps(self, vid: int) -> tuple[tuple[Direction, SymbolicAngle, float], ...]:
         """Open angular gaps at a vertex: (start direction, extent, extent rad).
@@ -630,10 +650,11 @@ class Patch:
                 rep.add("overlap", f"tiles {j} and {i} overlap")
         # closed interior vertex stars solve the vertex equation
         for vid, v in enumerate(self._vertices):
-            fault, word = self._star_verdict(v.intervals)
+            fault, _closed = self._star_verdict(v.intervals)
             if fault == "overlap":
                 rep.add("overlap", f"vertex {vid} corners exceed a full turn")
             elif fault == "atlas":
+                word = _star_word(v.intervals)
                 rep.add("atlas", f"vertex {vid} star {word} not in atlas")
         self._report = rep
         return rep
@@ -684,6 +705,11 @@ def _disc(xys) -> tuple[float, float, float]:
     cx = sum(x for x, _ in xys) / n
     cy = sum(y for _, y in xys) / n
     return cx, cy, max(math.hypot(x - cx, y - cy) for x, y in xys)
+
+
+def _star_word(ivs) -> str:
+    """Canonical corner word of the corner intervals ivs around one vertex."""
+    return canonical_word("".join(iv[5] for iv in sorted(ivs)))
 
 
 def _in_cells(table, x, y, r):

@@ -6,13 +6,15 @@ exactly three ways to place a tile flush against the gap's starting ray
 search over those choices is exhaustive.  A branch is cut when a gap at a
 touched vertex cannot be written as a non-negative combination of corner
 angles: that is exactly when the partial vertex star extends to no atlas
-word (see star_completable).
+word (see star_completable).  A dead branch jumps straight back to the
+latest tile it depends on (see _Search.run).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec, make_alpha
@@ -75,7 +77,11 @@ def star_completable(
 
 @dataclass
 class _Search:
-    """Shared state for one depth-first completion run."""
+    """Shared state for one depth-first completion run.
+
+    Every completion closes the star of each vertex within must_close of
+    the frontier's center.
+    """
 
     patch: Patch
     frontier: object  # () -> nearest (dist2, vid), or None when complete
@@ -83,30 +89,85 @@ class _Search:
     tile_filter: object = None
     on_solution: object = None
     first_only: bool = False
+    must_close: float = math.inf
 
-    def run(self) -> bool:
+    def run(self) -> bool | set[int] | None:
+        """Search every completion of the patch as it stands.
+
+        Returns True when first_only has found a completion, and leaves the
+        patch in it.  Otherwise the patch is restored, and the result is
+        None when a completion was found below, else the blame: indices of
+        placed tiles that no completion holds all together.
+
+        This is conflict-directed backjumping (P. Prosser, Computational
+        Intelligence 9(3), 1993).  A candidate refused by add_tile, the gap
+        pruning or the tile filter is blamed on every placed tile whose
+        bounding disc meets its own (Patch.tiles_touching): the checks look
+        at no other tile, and more tiles never make a refused tile fit.
+        The tile filter must be such a check too.  A candidate whose
+        subtree failed contributes that subtree's blame without itself.
+        When a candidate is not in its subtree's blame, the failure does
+        not depend on it: the node pops it and returns that blame at once,
+        and every node up to the latest blamed tile does the same.
+
+        Why a blame is sound: the chosen vertex lies within must_close, so
+        every completion that holds the tiles at that vertex (always in the
+        blame) puts one of the three flush candidates against the gap, and
+        each candidate is ruled out by its own part of the blame.  The
+        search falls back to chronological order in two cases.  A vertex
+        beyond must_close need not close in every completion, so there the
+        blame is every placed tile.  A node with a completion below returns
+        None, so the nodes above it try all their candidates.  Backjumping
+        skips only subtrees without completions: it visits every completion
+        the chronological search visits, in the same order, and never more
+        nodes.
+        """
+        p = self.patch
         nearest = self.frontier()
         if nearest is None:
             if self.on_solution is not None:
-                self.on_solution(self.patch)
-            return self.first_only
-        _d, vid = nearest
-        gaps = self.patch.gaps(vid)
+                self.on_solution(p)
+            return True if self.first_only else None
+        d2, vid = nearest
         start_dir, _sym, _gn = min(
-            gaps, key=lambda g: g[0].value(self.patch.eval_rad) % (2 * math.pi)
+            p.gaps(vid), key=lambda g: g[0].value(p.eval_rad) % (2 * math.pi)
         )
-        point = self.patch.vertex_point(vid)
+        point = p.vertex_point(vid)
+        me = len(p)  # index of the tile this node places
+        refused = []
+        blame = set()
+        found = False
         for cand in _flush_candidates(point, start_dir):
             self.budget.spend()
             try:
-                vids = self.patch.add_tile(cand)
+                vids = p.add_tile(cand)
             except ShieldError:
+                refused.append(cand)
                 continue
-            ok = self._prune(cand, vids)
-            if ok and self.run():
+            if not self._prune(cand, vids):
+                p.pop_tile()
+                refused.append(cand)
+                continue
+            sub = self.run()
+            if sub is True:
                 return True
-            self.patch.pop_tile()
-        return False
+            p.pop_tile()
+            if sub is None:
+                found = True
+            elif me not in sub:
+                return sub
+            else:
+                blame |= sub
+        if found:
+            return None
+        if d2 > self.must_close ** 2:
+            return set(range(me))
+        # the patch is as it was when each candidate was refused
+        blame.discard(me)
+        blame |= p.tiles_at(vid)
+        for cand in refused:
+            blame.update(p.tiles_touching(cand))
+        return blame
 
     def _prune(self, cand: Placement, vids) -> bool:
         p = self.patch
@@ -168,8 +229,16 @@ def fill_disk(
     edge have an open gap, so an empty frontier means the disk is complete.
     With first_only the patch is left in the first completed state found
     and True is returned; otherwise on_solution is invoked on every
-    completion and the patch is restored.  budget is a node count, or a
-    NodeBudget shared with other searches.
+    completion, the patch is restored and False is returned.  budget is a
+    node count, or a NodeBudget shared with other searches.  tile_filter
+    (patch, placement, vids) -> bool may refuse a placed tile; it must look
+    only at tiles touching it, and refuse whatever it refused before once
+    more tiles are placed.
+
+    A dead branch backjumps (see _Search.run).  A vertex in the closed disk
+    closes in every completion, since each edge at it meets the disk: half
+    of GEOM_TOL is more than float rounding can take off the frontier's
+    radius + GEOM_TOL test.
     """
     cxy = patch.vertex_xy(center_vid)
     s = _Search(
@@ -179,8 +248,9 @@ def fill_disk(
         tile_filter=tile_filter,
         on_solution=on_solution,
         first_only=first_only,
+        must_close=radius + GEOM_TOL / 2,
     )
-    return s.run()
+    return s.run() is True
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +460,14 @@ def packing_cells(rho: float) -> list[tuple[int, int, ExactPoint]]:
     return out
 
 
-def dodecagon_fillings() -> list[Patch]:
-    """All ways to tile the unit-edge regular dodecagon.
+@cache
+def dodecagon_fillings() -> tuple[Patch, ...]:
+    """All ways to tile the unit-edge regular dodecagon, as frozen patches.
 
-    The list order defines the filling index used when generating packing
+    The order defines the filling index used when generating packing
     tilings.  Fillings are ordered by their sorted placements (kind, exact
-    anchor, heading), so the index does not depend on the key format.
+    anchor, heading), so the index does not depend on the key format.  The
+    search runs once per process; every call returns the same patches.
     """
     cxy = dodecagon_center_xy()
     fillings: dict[str, list[Placement]] = {}
@@ -427,8 +499,9 @@ def dodecagon_fillings() -> list[Patch]:
         for t in tiles:
             q.add_tile(t)
         q.require_valid()
+        q.freeze()
         out.append(q)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -98,11 +98,6 @@ def _family_fixtures():
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _fillings():
-    return tuple(dodecagon_fillings())
-
-
 def test_criterion_1_generic_atlas(capsys):
     t0 = time.perf_counter()
     words = atlas_words(GENERIC)
@@ -251,7 +246,7 @@ def test_criterion_6_dodecagon_fillings(capsys):
     # the fixed dodecagon. Three fillings are therefore exactly one class,
     # the 30-degree rotation orbit of filling 0.
     t0 = time.perf_counter()
-    fillings = _fillings()
+    fillings = dodecagon_fillings()
     cxy = dodecagon_center_xy()
     balls = [_filling_ball(p.tiles, cxy) for p in fillings]
     fixed_keys = [b.translation_key() for b in balls]
@@ -356,7 +351,7 @@ def test_criterion_8_polynomial_root(capsys):
 
 def test_criterion_9_structural_invariants(capsys):
     fixtures = list(_family_fixtures()) + [
-        (f"filling[{i}]", p) for i, p in enumerate(_fillings())
+        (f"filling[{i}]", p) for i, p in enumerate(dodecagon_fillings())
     ]
     failures = []
     rng = random.Random(20240817)

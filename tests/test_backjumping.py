@@ -1,0 +1,191 @@
+"""Backjumping against chronological backtracking.
+
+_Chronological is the completion search as it was before backjumping: a
+dead branch returns to the latest choice only.  Routed through the same
+callers, both searches must visit the same completions, each as often,
+and backjumping may only skip nodes.
+"""
+
+import math
+from collections import Counter
+
+import pytest
+
+from shieldtiles import patterns
+from shieldtiles.alpha import GENERIC, make_alpha
+from shieldtiles.classify import classify
+from shieldtiles.errors import ShieldError
+from shieldtiles.generators import gen_triangle_tiling
+from shieldtiles.patch import Patch, _placement_sort_key
+from shieldtiles.patterns import (
+    _flush_candidates,
+    _Search,
+    complete_ball,
+    count_patterns,
+    fill_disk,
+)
+
+RIGHT = make_alpha("rational", 1, 2)
+DECIMAL = make_alpha("decimal", 110.3)
+
+
+class _Chronological(_Search):
+    """Reference: depth-first search with chronological backtracking."""
+
+    def run(self) -> bool:
+        nearest = self.frontier()
+        if nearest is None:
+            if self.on_solution is not None:
+                self.on_solution(self.patch)
+            return self.first_only
+        _d, vid = nearest
+        gaps = self.patch.gaps(vid)
+        start_dir, _sym, _gn = min(
+            gaps, key=lambda g: g[0].value(self.patch.eval_rad) % (2 * math.pi)
+        )
+        point = self.patch.vertex_point(vid)
+        for cand in _flush_candidates(point, start_dir):
+            self.budget.spend()
+            try:
+                vids = self.patch.add_tile(cand)
+            except ShieldError:
+                continue
+            ok = self._prune(cand, vids)
+            if ok and self.run():
+                return True
+            self.patch.pop_tile()
+        return False
+
+
+def _placements(patch: Patch) -> tuple:
+    return tuple(sorted(map(_placement_sort_key, patch.tiles)))
+
+
+def _traced(job, search_cls, **overrides):
+    """Run job with every search built as search_cls.
+
+    Returns the job's answer, the completions passed to on_solution (as
+    sorted placements, with multiplicity) and the nodes of all searches.
+    """
+    seen = Counter()
+    budgets = {}
+
+    def make(**kw):
+        budgets[id(kw["budget"])] = kw["budget"]
+        report = kw.get("on_solution")
+        if report is not None:
+            def record(p):
+                seen[_placements(p)] += 1
+                report(p)
+
+            kw["on_solution"] = record
+        return search_cls(**{**kw, **overrides})
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(patterns, "_Search", make)
+        answer = job()
+    return answer, seen, sum(b.used for b in budgets.values())
+
+
+def _count(n, alpha):
+    def job():
+        res = count_patterns(n, alpha)
+        assert res.complete
+        return res.count, res.translation_count, frozenset(res.patterns)
+
+    return job
+
+
+def _fillings():
+    # past the cache, so that the search runs under the test
+    return [_placements(p) for p in patterns.dodecagon_fillings.__wrapped__()]
+
+
+CASES = {
+    "generic-n1": _count(1.0, GENERIC),
+    "right-n0.6": _count(0.6, RIGHT),
+    "right-n1.0": _count(1.0, RIGHT),
+    "5pi/12-n1": _count(1.0, make_alpha("rational", 5, 12)),
+    "110.3deg-n1": _count(1.0, DECIMAL),
+    "dodecagon": _fillings,
+}
+
+
+# cases with a dead branch below an unrelated choice, which backjumping skips
+SKIPS = {"right-n1.0", "dodecagon"}
+
+
+@pytest.fixture(scope="module")
+def chronological():
+    return {name: _traced(job, _Chronological) for name, job in CASES.items()}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_backjumping_visits_the_chronological_completions(chronological, case):
+    answer, seen, nodes = _traced(CASES[case], _Search)
+    ref_answer, ref_seen, ref_nodes = chronological[case]
+    assert answer == ref_answer
+    assert seen == ref_seen and seen
+    assert nodes <= ref_nodes
+    if case in SKIPS:
+        assert nodes < ref_nodes
+
+
+def test_no_jump_beyond_must_close(chronological):
+    # with no vertex nearer than must_close the blame is every placed tile,
+    # and the search makes exactly the chronological moves
+    answer, seen, nodes = _traced(CASES["right-n1.0"], _Search, must_close=0.0)
+    assert (answer, seen, nodes) == chronological["right-n1.0"]
+
+
+@pytest.fixture(scope="module")
+def dead_seeds():
+    """Balls that close the radius-1 disk at pi/2 but do not extend to
+    radius 2."""
+    kept = {b.key() for b in complete_ball(RIGHT, 1.0)}
+    dead = [b for b in complete_ball(RIGHT, 1.0, margin=0) if b.key() not in kept]
+    assert dead
+    return dead
+
+
+@pytest.mark.parametrize("search_cls", [_Search, _Chronological])
+def test_first_only_from_a_dead_seed_restores_it(dead_seeds, search_cls):
+    for ball in dead_seeds:
+        patch = Patch(RIGHT)
+        center = patch.add_vertex(ball.center)
+        for t in ball.tiles:
+            patch.add_tile(t)
+
+        def state():
+            return (list(patch.tiles), set(patch.boundary_edges()),
+                    [patch.gaps(v) for v in patch.vertex_ids()])
+
+        before = state()
+        done, _seen, nodes = _traced(
+            lambda: fill_disk(patch, center, 2.0, first_only=True), search_cls
+        )
+        assert done is False and nodes > 0
+        assert state() == before
+        assert patch.validate().ok
+
+
+@pytest.mark.parametrize("alpha", [GENERIC, DECIMAL], ids=str)
+@pytest.mark.parametrize("order", range(6))
+def test_triangle_windows_up_to_order_five(alpha, order):
+    patch = gen_triangle_tiling(order, 8, alpha)
+    assert patch.validate().ok
+    verdict = classify(patch)
+    assert (verdict.family, verdict.order, verdict.complete) == (
+        "Triangle", order, True
+    )
+
+
+def test_triangle_window_is_the_first_chronological_completion():
+    # first_only stops at the same completion, placed in the same order
+    def job():
+        return gen_triangle_tiling(4, 8, DECIMAL).tiles
+
+    ref, _seen, ref_nodes = _traced(job, _Chronological)
+    got, _seen, nodes = _traced(job, _Search)
+    assert got == ref
+    assert nodes < ref_nodes

@@ -1,8 +1,10 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
+from shieldtiles import generators, patterns
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.classify import vertex_census
 from shieldtiles.generators import (
@@ -12,6 +14,7 @@ from shieldtiles.generators import (
     gen_triangle_tiling,
     hex_lattice_vector,
 )
+from shieldtiles.patch import Patch
 
 ALPHAS = [GENERIC, make_alpha("rational", 5, 12), make_alpha("decimal", 99.34)]
 
@@ -89,3 +92,30 @@ def test_line_word_is_bottom_to_top():
     census = vertex_census(patch)
     faults = [v for cfg, vs in census.items() if cfg.word == "ABTT" for v in vs]
     assert faults
+
+
+def test_triangle_windows_search_prune_and_backtrack(monkeypatch):
+    # the benchmark's traced run expects its triangle windows to reach these
+    # calls, through these bindings; a search that no longer backtracks or
+    # prunes fails here first
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in [
+        (generators, "fill_disk"),
+        (Patch, "pop_tile"),
+        (Patch, "star_blocks"),
+        (patterns, "gap_feasible"),
+        (patterns, "star_completable"),
+    ]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for order in range(5):
+        gen_triangle_tiling(order, 8, GENERIC)
+    assert set(calls) == {
+        "fill_disk", "pop_tile", "star_blocks", "gap_feasible", "star_completable"
+    }

@@ -391,3 +391,31 @@ def test_star_closing_within_tolerance_but_off_the_atlas_rejected():
     with pytest.raises(AtlasViolation, match="AAAA"):
         patch.add_tile(Placement("S", ORIGIN, Direction.of(0, 3)))
     assert len(patch) == 3
+
+
+def test_star_word_is_built_only_for_its_readers(monkeypatch):
+    # a closed star is judged by the vertex equation; its canonical word is
+    # built only for interior_word and the two atlas messages
+    built = []
+    word_of = patch_module.canonical_word
+    monkeypatch.setattr(
+        patch_module, "canonical_word", lambda w: built.append(w) or word_of(w)
+    )
+    patch = hex_star()
+    assert built == []
+    assert patch.interior_word(patch.add_vertex(ORIGIN)) == "TTTTTT"
+    assert len(built) == 1
+    patch = Patch(make_alpha("decimal", 90 + 1e-6))
+    for k in range(3):
+        patch.add_tile(Placement("S", ORIGIN, Direction.of(0, k)))
+    assert len(built) == 1
+    last = Placement("S", ORIGIN, Direction.of(0, 3))
+    with pytest.raises(AtlasViolation) as exc:
+        patch.add_tile(last)
+    assert str(exc.value) == "interior star AAAA not in atlas"
+    # planted past the equation, validate reports it in its own words
+    with monkeypatch.context() as m:
+        m.setattr(patch_module, "full_turn_check", lambda *args: True)
+        patch.add_tile(last)
+    assert str(patch.validate()) == "atlas: vertex 0 star AAAA not in atlas"
+    assert len(built) == 3
