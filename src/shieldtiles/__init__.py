@@ -11,7 +11,6 @@ from .atlas import (
     atlas_configs,
     atlas_words,
     exceptional_alphas,
-    is_config_extendable,
 )
 from .classify import Classification, classify, fault_lines, vertex_census
 from .diskroot import DiskRadius, disk_radius_root
@@ -27,6 +26,7 @@ from .patterns import (
     count_patterns,
     dodecagon_fillings,
     entropy_bound,
+    is_config_extendable,
 )
 from .render import render_svg
 from .shieldio import load_file, loads, dumps, save_file

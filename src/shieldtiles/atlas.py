@@ -151,58 +151,3 @@ def gap_feasible(gap: SymbolicAngle, alpha: AlphaSpec) -> bool:
         for q in range(Q_MAX + 1)
         for r in range(R_MAX + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# Bounded extendability check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtendableWitness:
-    """A completed neighborhood containing the configuration."""
-
-    patch: object
-
-
-class ProvenImpossible:
-    """The bounded search space is exhausted with no valid completion."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "ProvenImpossible"
-
-
-class Unknown:
-    """The search budget ran out before the question was settled."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Unknown"
-
-
-def is_config_extendable(
-    config: VertexConfig, alpha: AlphaSpec, depth: int = 3
-):
-    """Can the configuration appear in a tiling?  Bounded local answer.
-
-    Attempts to complete the star out to `depth` rings of tiles by
-    exhaustive backtracking.  ExtendableWitness(patch) carries one valid
-    completed neighborhood; ProvenImpossible means every branch of the
-    bounded search dead-ends; Unknown means the node budget ran out.
-    """
-    from .errors import BudgetExceeded
-    from .patch import Patch, star_placements
-    from .patterns import DEFAULT_BUDGET, fill_disk
-    from .symbolic import ExactPoint
-
-    patch = Patch(alpha)
-    vid = patch.add_vertex(ExactPoint.origin())
-    for t in star_placements(config.word, ExactPoint.origin()):
-        patch.add_tile(t)
-    try:
-        if fill_disk(patch, vid, float(depth), budget=DEFAULT_BUDGET,
-                     first_only=True):
-            patch.freeze()
-            return ExtendableWitness(patch)
-    except BudgetExceeded:
-        return Unknown()
-    return ProvenImpossible()

@@ -12,6 +12,12 @@ segments, so a point can lie on an edge only within 1/2 + GEOM_TOL of its
 midpoint; edges are hashed by the unit cell of their midpoint.  Two tiles
 can overlap only if their bounding discs meet.  The set of boundary edges
 and the gaps at each vertex are kept up to date as tiles come and go.
+
+No vertex lies strictly inside an edge: every way of adding a vertex or
+an edge refuses to break that.  add_tile leans on it to test only what a
+tile changes: new corners against edges, new edges against vertices, and
+polygon overlap only against nearby tiles that share no vertex with the
+new tile (see add_tile).  validate() re-checks everything in full.
 """
 
 from __future__ import annotations
@@ -333,12 +339,22 @@ class Patch:
 
     # -- construction ------------------------------------------------------
 
+    def _bare_vid(self, point: ExactPoint) -> int:
+        """Vertex id of point, made when new; EdgeMismatchError if a new
+        vertex would lie strictly inside an edge."""
+        xy = point.xy(self.eval_rad)
+        vid = self._find_vid(xy, point)
+        if vid is not None:
+            return vid
+        if self._inside_some_edge(*xy):
+            raise EdgeMismatchError("vertex lies inside an existing edge")
+        return self._get_or_make_vid(xy, point)
+
     def add_blocked(self, point: ExactPoint, start: Direction, ang: SymbolicAngle):
         """Reserve an angular sector at a vertex (used for region boundaries)."""
         if self._frozen:
             raise ValueError("patch is frozen")
-        xy = point.xy(self.eval_rad)
-        vid = self._get_or_make_vid(xy, point)
+        vid = self._bare_vid(point)
         s = start.value(self.eval_rad)
         e = s + ang.value(self.eval_rad)
         self._vertices[vid].intervals.append((s, e, start, ang, None, "#"))
@@ -350,6 +366,23 @@ class Patch:
         """Place a tile; raises and leaves the patch unchanged on conflict.
 
         Returns the vertex ids of the tile corners.
+
+        No vertex of the patch lies strictly inside an edge: add_vertex,
+        add_blocked and add_tile each refuse a vertex or an edge that would
+        break this.  So three tests are left out, each of which could only
+        find what the invariant rules out or what another test has ruled
+        out already:
+
+        - the corner-inside-edge test of a corner that lands on a vertex
+          of the patch: the corner is that vertex, which lies inside no
+          edge;
+        - the vertex-inside-edge test of an edge already in the patch: it
+          was tested against every vertex when it came in, and every vertex
+          made since was tested against every edge;
+        - the polygon overlap test against a tile with a corner at one of
+          this tile's vertices.  A convex tile lies inside the cone of its
+          corner at a vertex, and the angular test at that vertex has found
+          the two cones disjoint.
         """
         if self._frozen:
             raise ValueError("patch is frozen")
@@ -363,7 +396,8 @@ class Patch:
         # corners not in the patch yet get the ids they will be given (the
         # corners of one tile never coincide)
         vids = []
-        next_vid = len(self._vertices)
+        old = len(self._vertices)
+        next_vid = old
         for xy, pt in zip(xys, pts):
             vid = self._find_vid(xy, pt)
             if vid is None:
@@ -372,40 +406,49 @@ class Patch:
             vids.append(vid)
 
         n = len(vids)
-        # edge usage
+        # edge usage; a new vertex is in no edge yet
+        edge_tiles = []
         for i in range(n):
             u, v = vids[i], vids[(i + 1) % n]
-            ek = (min(u, v), max(u, v))
-            if len(self._edges.get(ek, ())) >= 2:
+            ek = (u, v) if u < v else (v, u)
+            ts = self._edges.get(ek)
+            if ts is not None and len(ts) >= 2:
                 raise OverlapError(f"edge {ek} already shared by two tiles")
+            edge_tiles.append(ts)
         # T-junctions: new corners against old edges, old corners
         # against new edges
-        for xy in xys:
-            if self._inside_some_edge(*xy):
+        for xy, vid in zip(xys, vids):
+            if vid >= old and self._inside_some_edge(*xy):
                 raise EdgeMismatchError("tile corner lands inside an existing edge")
         for i in range(n):
-            if self._vertex_inside_edge(*xys[i], *xys[(i + 1) % n]):
+            if edge_tiles[i] is None and self._vertex_inside_edge(
+                *xys[i], *xys[(i + 1) % n]
+            ):
                 raise EdgeMismatchError("existing vertex lies inside a new edge")
         # angular overlap at shared vertices; this also refuses a duplicate
         new_intervals: list[tuple[int, tuple]] = []
+        sharing = set()  # tiles with a corner at a vertex of this one
         for (xy, vid, (lab, d_out, ang)) in zip(xys, vids, dirs):
             s = d_out.value(self.eval_rad)
             e = s + ang.value(self.eval_rad)
-            if vid < len(self._vertices):
+            if vid < old:
                 for iv in self._vertices[vid].intervals:
                     if _circular_overlap(s, e, iv[0], iv[1]) > GEOM_TOL:
                         raise OverlapError("angular overlap at a shared vertex")
+                    sharing.add(iv[4])
             new_intervals.append((vid, (s, e, d_out, ang, len(self.tiles), lab)))
-        # polygon overlap against nearby tiles
+        # polygon overlap against the other nearby tiles
         flat = tuple(c for xy in xys for c in xy)
         disc = _disc(xys)
-        near = set(self._tile_ids_near(disc[0], disc[1]))
+        near = [
+            t for t in self._tile_ids_near(disc[0], disc[1]) if t not in sharing
+        ]
         tid = next(self._overlaps(flat, disc, near), None)
         if tid is not None:
             raise OverlapError(f"interior overlap with tile {tid}")
         # tentative stars at the vertices already in the patch
         for vid, iv in new_intervals:
-            if vid >= len(self._vertices):
+            if vid >= old:
                 continue
             ivs = self._vertices[vid].intervals + [iv]
             fault, _closed = self._star_verdict(ivs)
@@ -430,8 +473,8 @@ class Patch:
         self._tile_discs.append(disc)
         for i in range(n):
             u, v = real_vids[i], real_vids[(i + 1) % n]
-            ek = (min(u, v), max(u, v))
-            ts = self._edges.get(ek)
+            ek = (u, v) if u < v else (v, u)
+            ts = edge_tiles[i]
             if ts is not None:
                 ts.append(tidx)
                 del self._boundary[ek]
@@ -512,8 +555,11 @@ class Patch:
         )
 
     def add_vertex(self, point: ExactPoint) -> int:
-        """Register a bare vertex (a center with no tiles yet)."""
-        return self._get_or_make_vid(point.xy(self.eval_rad), point)
+        """Register a bare vertex (a center with no tiles yet).
+
+        Raises EdgeMismatchError if the point is not a vertex yet and lies
+        strictly inside an edge."""
+        return self._bare_vid(point)
 
     def vertex_ids(self) -> range:
         return range(len(self._vertices))
@@ -713,10 +759,19 @@ def _star_word(ivs) -> str:
 
 
 def _in_cells(table, x, y, r):
-    """Entries of the unit cells of table that the box (x, y) +- r touches."""
-    for cx in range(math.floor(x - r), math.floor(x + r) + 1):
-        for cy in range(math.floor(y - r), math.floor(y + r) + 1):
-            yield from table.get((cx, cy), ())
+    """Entries of the unit cells of table that the box (x, y) +- r touches.
+
+    A box in one cell gets that cell's own list: iterate over it, but do
+    not keep it or change the table meanwhile."""
+    x0, x1 = math.floor(x - r), math.floor(x + r)
+    y0, y1 = math.floor(y - r), math.floor(y + r)
+    if x0 == x1 and y0 == y1:
+        return table.get((x0, y0), ())
+    out = []
+    for cx in range(x0, x1 + 1):
+        for cy in range(y0, y1 + 1):
+            out.extend(table.get((cx, cy), ()))
+    return out
 
 
 def _mid_entry(ax, ay, bx, by):

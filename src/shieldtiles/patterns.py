@@ -18,7 +18,7 @@ from functools import cache
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec, make_alpha
-from .atlas import atlas_configs, gap_feasible
+from .atlas import VertexConfig, atlas_configs, gap_feasible
 from .errors import BudgetExceeded, ShieldError
 from .patch import (
     GEOM_TOL,
@@ -181,36 +181,113 @@ def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
     return [placement_with_corner(*LABEL_CORNERS[lab], point, d) for lab in "TAB"]
 
 
-def _nearest_open(patch: Patch, center_xy, vids):
-    """Least (dist2, vid) among the vertices vids that have a gap, or None.
+def _nearest_open(patch: Patch, cands):
+    """Least (dist2, vid) among the candidates (dist2, vid) whose vertex has
+    a gap, or None.
 
     Only a vertex nearer than the best so far has its gaps looked up."""
-    cx, cy = center_xy
     best = None
-    for w in vids:
-        x, y = patch.vertex_xy(w)
-        cand = ((x - cx) ** 2 + (y - cy) ** 2, w)
-        if (best is None or cand < best) and patch.gaps(w):
+    for cand in cands:
+        if (best is None or cand < best) and patch.gaps(cand[1]):
             best = cand
     return best
 
 
-def _disk_frontier(patch: Patch, center_xy, radius: float):
-    """Nearest gap-bearing endpoint of a boundary edge meeting the disk."""
+def _dist2(patch: Patch, center_xy, vids):
+    """(dist2, vid) from the center for each vertex of vids."""
     cx, cy = center_xy
-    return _nearest_open(patch, center_xy, (
-        w
-        for (u, v) in patch.boundary_edges()
-        if gk.point_segment_dist(
-            cx, cy, *patch.vertex_xy(u), *patch.vertex_xy(v)
-        ) <= radius + GEOM_TOL
-        for w in (u, v)
-    ))
+    for w in vids:
+        x, y = patch.vertex_xy(w)
+        yield (x - cx) ** 2 + (y - cy) ** 2, w
 
 
 def _gap_frontier(patch: Patch, center_xy):
     """Nearest vertex with a gap."""
-    return _nearest_open(patch, center_xy, patch.vertex_ids())
+    return _nearest_open(patch, _dist2(patch, center_xy, patch.vertex_ids()))
+
+
+class _DiskFrontier:
+    """Nearest gap-bearing end of a boundary edge that meets a disk.
+
+    Calling it returns (dist2, vid), or None when no boundary edge meets
+    the disk.  It holds, for each vertex, how many boundary edges at that
+    vertex meet the disk.  The counts are scanned from
+    patch.boundary_edges() once; each call then brings them up to date
+    with the tiles added and popped since the last one, whoever added or
+    popped them.  A tile brings in each of its edges that no earlier tile
+    holds (+1 at both ends if the edge meets the disk) and closes the
+    others (-1); popping it undoes that.  The frontier keeps the patch's
+    undo stack as it last saw it.  add_tile makes a fresh Patch._undo
+    entry on every call, so the two stacks agree up to the highest entry
+    that is the same object in both; the tiles above it were popped or
+    added since.  A pop below the tiles present at the scan makes a new
+    scan.
+    """
+
+    def __init__(self, patch: Patch, center_xy, radius: float):
+        self.patch = patch
+        self.cx, self.cy = center_xy
+        self.radius = radius
+        self._scan()
+
+    def _scan(self):
+        p = self.patch
+        self.counts = {}  # vid -> boundary edges at it that meet the disk
+        for u, v in p.boundary_edges():
+            if self._meets(u, v):
+                self._bump(u, 1)
+                self._bump(v, 1)
+        self.entries = list(p._undo)  # the patch's undo stack as last seen
+        self.base = len(self.entries)  # tiles the scan covers
+        self.changes = []  # ((u, v, +-1), ...) of each entry past base
+
+    def _meets(self, u, v) -> bool:
+        p = self.patch
+        return gk.point_segment_dist(
+            self.cx, self.cy, *p.vertex_xy(u), *p.vertex_xy(v)
+        ) <= self.radius + GEOM_TOL
+
+    def _bump(self, w, step):
+        c = self.counts.get(w, 0) + step
+        if c:
+            self.counts[w] = c
+        else:
+            del self.counts[w]
+
+    def _sync(self):
+        p = self.patch
+        undo, seen, base = p._undo, self.entries, self.base
+        k = min(len(seen), len(undo))
+        while k and seen[k - 1] is not undo[k - 1]:
+            k -= 1
+        if k < base:
+            self._scan()
+            return
+        for changes in reversed(self.changes[k - base:]):
+            for u, v, step in changes:
+                self._bump(u, -step)
+                self._bump(v, -step)
+        del seen[k:], self.changes[k - base:]
+        for tidx in range(k, len(undo)):
+            vids = p._tile_vids[tidx]
+            changes = []
+            n = len(vids)
+            for i in range(n):
+                u, v = vids[i], vids[(i + 1) % n]
+                if self._meets(u, v):
+                    # edge tile lists are in placement order
+                    ts = p._edges[(u, v) if u < v else (v, u)]
+                    step = 1 if ts[0] == tidx else -1
+                    self._bump(u, step)
+                    self._bump(v, step)
+                    changes.append((u, v, step))
+            seen.append(undo[tidx])
+            self.changes.append(tuple(changes))
+
+    def __call__(self):
+        self._sync()
+        p = self.patch
+        return _nearest_open(p, _dist2(p, (self.cx, self.cy), self.counts))
 
 
 def fill_disk(
@@ -240,10 +317,9 @@ def fill_disk(
     of GEOM_TOL is more than float rounding can take off the frontier's
     radius + GEOM_TOL test.
     """
-    cxy = patch.vertex_xy(center_vid)
     s = _Search(
         patch=patch,
-        frontier=lambda: _disk_frontier(patch, cxy, radius),
+        frontier=_DiskFrontier(patch, patch.vertex_xy(center_vid), radius),
         budget=_as_budget(budget),
         tile_filter=tile_filter,
         on_solution=on_solution,
@@ -388,6 +464,55 @@ def count_patterns(
         patterns={min(o) for o in orbits} if keep else set(),
         nodes=nodes.used,
     )
+
+
+# ---------------------------------------------------------------------------
+# Bounded extendability check
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExtendableWitness:
+    """A completed neighborhood containing the configuration."""
+
+    patch: object
+
+
+class ProvenImpossible:
+    """The bounded search space is exhausted with no valid completion."""
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "ProvenImpossible"
+
+
+class Unknown:
+    """The search budget ran out before the question was settled."""
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "Unknown"
+
+
+def is_config_extendable(
+    config: VertexConfig, alpha: AlphaSpec, depth: int = 3
+):
+    """Can the configuration appear in a tiling?  Bounded local answer.
+
+    Attempts to complete the star out to `depth` rings of tiles by
+    exhaustive backtracking.  ExtendableWitness(patch) carries one valid
+    completed neighborhood; ProvenImpossible means every branch of the
+    bounded search dead-ends; Unknown means the node budget ran out.
+    """
+    patch = Patch(alpha)
+    vid = patch.add_vertex(ORIGIN)
+    for t in star_placements(config.word, ORIGIN):
+        patch.add_tile(t)
+    try:
+        if fill_disk(patch, vid, float(depth), first_only=True):
+            patch.freeze()
+            return ExtendableWitness(patch)
+    except BudgetExceeded:
+        return Unknown()
+    return ProvenImpossible()
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,9 @@ from functools import lru_cache
 
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import (
-    Unknown,
     atlas_words,
     configs_from_counts,
     exceptional_alphas,
-    is_config_extendable,
     solve_vertex_equation,
 )
 from shieldtiles.classify import (
@@ -46,12 +44,14 @@ from shieldtiles.generators import (
 )
 from shieldtiles.patch import PatternBall
 from shieldtiles.patterns import (
+    Unknown,
     complete_ball,
     count_patterns,
     dodecagon_cells_inside,
     dodecagon_center_xy,
     dodecagon_fillings,
     entropy_bound,
+    is_config_extendable,
 )
 from shieldtiles.symbolic import ExactPoint, SymbolicAngle
 

@@ -12,18 +12,20 @@ from shieldtiles.atlas import (
     P_MAX,
     Q_MAX,
     R_MAX,
-    ExtendableWitness,
-    ProvenImpossible,
     VertexConfig,
     atlas_words,
     canonical_word,
     configs_from_counts,
     exceptional_alphas,
     gap_feasible,
-    is_config_extendable,
     solve_vertex_equation,
 )
-from shieldtiles.patterns import star_completable
+from shieldtiles.patterns import (
+    ExtendableWitness,
+    ProvenImpossible,
+    is_config_extendable,
+    star_completable,
+)
 from shieldtiles.symbolic import SymbolicAngle, full_turn_check
 
 RIGHT = make_alpha("rational", 1, 2)

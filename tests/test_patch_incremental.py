@@ -1,13 +1,17 @@
 """Differential tests: the incremental state of a Patch against fresh scans.
 
-Random add_tile / pop_tile sequences of flush candidates are run at
-generic alpha, at pi/2 and at 110 degrees.  After every step the boundary
-set, the edge midpoint index and every cached gap list must equal what a
-scan from scratch gives, and every add_tile verdict must equal the one of
-a brute force reference that checks all tiles, edges and vertices.
-has_tile must find every placed tile from each of its anchors and no
-popped one, a duplicate must be refused, and the search frontier of a
-disk must be empty exactly when no boundary edge meets the disk.
+Random add_tile / pop_tile sequences are run at generic alpha, at pi/2
+and at 110 degrees, on patches that may start with bare vertices and
+blocked sectors.  The candidates are flush against a gap, as the
+completion search places them, or turned into the gap, so that they
+share a vertex but no edge.  After every step the boundary set, the edge
+midpoint index and every cached gap list must equal what a fresh scan
+gives, and every add_tile and add_vertex verdict must equal the
+one of a brute force reference that checks all tiles, edges and
+vertices.  has_tile must find every placed tile from each of its anchors
+and no popped one, a duplicate must be refused, and the incremental disk
+frontier must return what a full scan of the boundary edges returns,
+whether it is called after every step or only now and then.
 """
 
 import math
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shieldtiles import _puregeom
+from shieldtiles import _puregeom, patterns
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import atlas_words, canonical_word
 from shieldtiles.errors import (
@@ -25,9 +29,23 @@ from shieldtiles.errors import (
     OverlapError,
     ShieldError,
 )
-from shieldtiles.patch import GEOM_TOL, Patch
-from shieldtiles.patterns import _disk_frontier, _flush_candidates
-from shieldtiles.symbolic import Direction, ExactPoint
+from shieldtiles.patch import (
+    GEOM_TOL,
+    LABEL_CORNERS,
+    Patch,
+    Placement,
+    placement_with_corner,
+)
+from shieldtiles.patterns import _DiskFrontier, _flush_candidates
+from shieldtiles.symbolic import (
+    ANGLE_A,
+    ANGLE_B,
+    ANGLE_T,
+    Direction,
+    ExactPoint,
+    SymbolicAngle,
+    unit_vector,
+)
 
 ORIGIN = ExactPoint.origin()
 RIGHT = make_alpha("rational", 1, 2)
@@ -71,17 +89,31 @@ def _circular_overlap(s1, e1, s2, e2):
     )
 
 
-def reference_verdict(patch, pl):
+def _tile_edges(patch):
+    """Edges of the placed tiles, each as its two ends (exact point, xy)."""
+    cs_all = [_corners(patch, t) for t in patch.tiles]
+    return [
+        (cs[i][0], cs[(i + 1) % len(cs)][0])
+        for cs in cs_all
+        for i in range(len(cs))
+    ]
+
+
+def reference_verdict(patch, pl, extras):
     """The error class add_tile must raise for pl, or None if it must
     accept it.  The checks run in add_tile's order, each one against
-    every tile, edge and vertex of the patch."""
+    every tile, edge and vertex of the patch.  extras holds the bare
+    vertices, (exact point, xy), and the blocked sectors, ((exact point,
+    xy), start angle, end angle, "#"), that the patch was given besides
+    its tiles."""
+    bare, blocked = extras
     old = [_corners(patch, t) for t in patch.tiles]
     new = _corners(patch, pl)
-    points = [(ORIGIN, patch.vertex_xy(0))] + [c[0] for cs in old for c in cs]
+    points = bare + [b[0] for b in blocked] + [c[0] for cs in old for c in cs]
     if any(t.canonical() == pl.canonical() for t in patch.tiles):
         return OverlapError
     n = len(new)
-    edges = [(cs[i][0], cs[(i + 1) % len(cs)][0]) for cs in old for i in range(len(cs))]
+    edges = _tile_edges(patch)
     for i in range(n):
         a, b = new[i][0], new[(i + 1) % n][0]
         uses = sum(
@@ -98,13 +130,13 @@ def reference_verdict(patch, pl):
         a, b = new[i][0][1], new[(i + 1) % n][0][1]
         if any(_strictly_inside(p[1], a, b) for p in points):
             return EdgeMismatchError
+    sectors = blocked + [o for cs in old for o in cs]
     for c in new:
-        for cs in old:
-            for o in cs:
-                if _same_vertex(patch, c[0], o[0]) and (
-                    _circular_overlap(c[1], c[2], o[1], o[2]) > GEOM_TOL
-                ):
-                    return OverlapError
+        for o in sectors:
+            if _same_vertex(patch, c[0], o[0]) and (
+                _circular_overlap(c[1], c[2], o[1], o[2]) > GEOM_TOL
+            ):
+                return OverlapError
     flat = tuple(v for c in new for v in c[0][1])
     for cs in old:
         poly = tuple(v for c in cs for v in c[0][1])
@@ -114,15 +146,47 @@ def reference_verdict(patch, pl):
     for c in new:
         if not any(_same_vertex(patch, c[0], p) for p in points):
             continue  # a new vertex holds this one corner only
-        star = [c] + [o for cs in old for o in cs if _same_vertex(patch, c[0], o[0])]
+        star = [c] + [o for o in sectors if _same_vertex(patch, c[0], o[0])]
         total = sum(e - s for _p, s, e, _lab in star)
         if total > TWO_PI + 1e-7:
             return OverlapError
-        if abs(total - TWO_PI) < 1e-7:
+        if abs(total - TWO_PI) < 1e-7 and all(o[3] != "#" for o in star):
             word = "".join(lab for _p, _s, _e, lab in sorted(star, key=lambda x: x[1]))
             if canonical_word(word) not in atlas:
                 return AtlasViolation
     return None
+
+
+def reference_vertex_verdict(patch, point, extras):
+    """The error class add_vertex and add_blocked must raise for point."""
+    bare, blocked = extras
+    p = (point, point.xy(patch.eval_rad))
+    olds = bare + [b[0] for b in blocked] + [
+        c[0] for t in patch.tiles for c in _corners(patch, t)
+    ]
+    if any(_same_vertex(patch, p, q) for q in olds):
+        return None
+    if any(_strictly_inside(p[1], a[1], b[1]) for a, b in _tile_edges(patch)):
+        return EdgeMismatchError
+    return None
+
+
+def reference_frontier(patch, center_xy, radius):
+    """The disk frontier as a full scan: the least (dist2, vid) among the
+    ends of the boundary edges that meet the disk and have a gap."""
+    cx, cy = center_xy
+    best = None
+    for u, v in patch.boundary_edges():
+        ax, ay = patch.vertex_xy(u)
+        bx, by = patch.vertex_xy(v)
+        if _puregeom.point_segment_dist(cx, cy, ax, ay, bx, by) > radius + GEOM_TOL:
+            continue
+        for w in (u, v):
+            x, y = patch.vertex_xy(w)
+            cand = ((x - cx) ** 2 + (y - cy) ** 2, w)
+            if (best is None or cand < best) and patch.gaps(w):
+                best = cand
+    return best
 
 
 # -- fresh scans of the incremental state ----------------------------------
@@ -164,18 +228,27 @@ def assert_has_tile_answers(patch, popped):
         assert not any(patch.has_tile(r) for r in popped.anchor_reps())
 
 
-def assert_frontier_empty_iff_disk_closed(patch):
+# edges of the tiles at the center lie at distances sqrt(3)/2 and 1
+RADII = (0.5, 0.85, math.sqrt(3) / 2, 0.99, 1.0, 2.0)
+
+
+def assert_frontiers_match_full_scan(patch, frontiers):
     cx, cy = patch.vertex_xy(0)
     single = [ek for ek, ts in patch._edges.items() if len(ts) == 1]
-    # edges of the tiles at the center lie at distances sqrt(3)/2 and 1
-    for r in (0.5, 0.85, math.sqrt(3) / 2, 0.99, 1.0, 2.0):
+    for r, frontier in zip(RADII, frontiers):
+        want = reference_frontier(patch, (cx, cy), r)
+        assert frontier() == want
         closed = all(
             _puregeom.point_segment_dist(
                 cx, cy, *patch.vertex_xy(u), *patch.vertex_xy(v)
             ) > r + GEOM_TOL
             for u, v in single
         )
-        assert (not _disk_frontier(patch, (cx, cy), r)) == closed
+        assert (want is None) == closed
+
+
+def _frontiers(patch):
+    return [_DiskFrontier(patch, patch.vertex_xy(0), r) for r in RADII]
 
 
 def _close(ps, qs):
@@ -185,53 +258,186 @@ def _close(ps, qs):
     )
 
 
-def _rebuilt(patch):
+def _rebuilt(patch, extras_spec):
     fresh = Patch(patch.alpha)
     fresh.add_vertex(ORIGIN)
+    _add_extras(fresh, extras_spec)
     for t in patch.tiles:
         fresh.add_tile(t)
     return fresh
 
 
-def _next_candidate(patch, pick, which):
-    """A flush candidate at the first gap of one of the three open vertices
-    nearest the origin, as the completion search chooses them."""
+def _open_vertex(patch, pick):
+    """One of the three open vertices nearest the origin, or None."""
     open_vids = sorted(
         (sum(c * c for c in patch.vertex_xy(v)), v)
         for v in patch.vertex_ids()
         if patch.gaps(v)
     )
     if not open_vids:
+        return None
+    return open_vids[pick % min(3, len(open_vids))][1]
+
+
+def _next_candidate(patch, pick, which):
+    """A flush candidate at the first gap of one of the three open vertices
+    nearest the origin, as the completion search chooses them."""
+    vid = _open_vertex(patch, pick)
+    if vid is None:
         return _flush_candidates(ORIGIN, Direction.of(0, 0))[which]
-    vid = open_vids[pick % min(3, len(open_vids))][1]
     start = min(patch.gaps(vid), key=lambda g: g[0].value(patch.eval_rad))[0]
     return _flush_candidates(patch.vertex_point(vid), start)[which]
 
 
+def _turned_candidate(patch, pick, which):
+    """A tile with a corner at an open vertex, turned into the gap by a
+    triangle or a sharp shield corner: it shares that vertex, but not the
+    edge or sector before the gap."""
+    vid = _open_vertex(patch, pick)
+    point = ORIGIN if vid is None else patch.vertex_point(vid)
+    start = Direction.of(0, 0) if vid is None else patch.gaps(vid)[0][0]
+    turn = (ANGLE_T, ANGLE_A)[pick % 2]
+    return placement_with_corner(*LABEL_CORNERS["TAB"[which]], point, start.plus(turn))
+
+
+def _slid_candidate(patch, pick, which):
+    """A tile whose first edge runs through an open vertex, from a point
+    a short step behind it (see _short_step)."""
+    vid = _open_vertex(patch, pick)
+    if vid is None:
+        return _next_candidate(patch, pick, which)
+    d = patch.gaps(vid)[0][0]
+    anchor = patch.vertex_point(vid) + _short_step(d)
+    return Placement(("T", "S")[which % 2], anchor, d)
+
+
+def _stuck_candidate(patch, pick, which):
+    """A tile with a corner strictly inside an edge of the patch."""
+    if not len(patch):
+        return _next_candidate(patch, pick, which)
+    heading = Direction.of(pick + 2 * which, which % 2)
+    return Placement(("T", "S")[which % 2], _inside_edge_point(patch, pick), heading)
+
+
+def _short_step(d):
+    """With theta = pi/3 + alpha in (2pi/3, pi), e(d) + e(d + theta) +
+    e(d - theta) = (1 + 2 cos theta) e(d): a step of length in (0, 1)
+    against direction d."""
+    theta = SymbolicAngle(1, 1)
+    return unit_vector(d) + unit_vector(d.plus(theta)) + unit_vector(d.plus(-theta))
+
+
+def _inside_edge_point(patch, pick):
+    """An exact point strictly inside an edge of the patch: a short step
+    from a corner along the edge that leaves it."""
+    t = patch.tiles[pick % len(patch)]
+    i = pick % len(t.labels)
+    return t.corner_points()[i] + _short_step(t.corner_dirs()[i][1].opposite())
+
+
+# exact points near the origin for bare vertices and blocked sectors: unit
+# steps at multiples of pi/3 and of pi/3 + alpha, and one rhombus corner
+NEAR_POINTS = [unit_vector(Direction.of(k, 0)) for k in range(6)] + [
+    unit_vector(Direction.of(0, 1)),
+    unit_vector(Direction.of(1, 1)),
+    unit_vector(Direction.of(0, 0)) + unit_vector(Direction.of(1, 0)),
+]
+
+EXTRAS = st.lists(
+    st.tuples(
+        st.integers(0, len(NEAR_POINTS) - 1),  # where
+        st.integers(0, 3),  # 0: a bare vertex, else a blocked T, A or B sector
+        st.integers(0, 5),  # start direction of the sector
+    ),
+    max_size=3,
+    unique_by=lambda x: x[0],
+)
+
 STEPS = st.lists(
     st.tuples(
         st.integers(0, 2),  # which of the nearest open vertices
-        st.integers(0, 2),  # which flush candidate
-        st.integers(0, 7),  # 0: pop the last tile, otherwise add one
+        st.integers(0, 2),  # which candidate kind
+        # 0: pop up to three tiles, 1: add_vertex and add_blocked probes,
+        # 2: a turned tile, 3: a tile with an edge through a vertex, 4: a
+        # tile with a corner inside an edge, otherwise a flush tile
+        st.integers(0, 9),
+        st.integers(0, 2),  # 0: call the occasional frontiers after this step
     ),
     min_size=1,
     max_size=40,
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]), steps=STEPS)
-def test_incremental_state_and_verdicts_match_brute_force(alpha, steps):
+def _probe_vertices(patch, pick, extras):
+    """add_vertex and add_blocked at a point inside an edge are refused and
+    change nothing; at a vertex of the patch they return its id."""
+    nverts = len(patch.vertex_ids())
+    if len(patch):
+        point = _inside_edge_point(patch, pick)
+        assert reference_vertex_verdict(patch, point, extras) is EdgeMismatchError
+        with pytest.raises(EdgeMismatchError):
+            patch.add_vertex(point)
+        with pytest.raises(EdgeMismatchError):
+            patch.add_blocked(point, Direction.of(0, 0), ANGLE_T)
+        assert len(patch.vertex_ids()) == nverts
+        t = patch.tiles[pick % len(patch)]
+        corner = t.corner_points()[pick % len(t.labels)]
+        assert reference_vertex_verdict(patch, corner, extras) is None
+        # at numeric alpha one vertex may have several exact spellings
+        vx, vy = patch.vertex_xy(patch.add_vertex(corner))
+        x, y = corner.xy(patch.eval_rad)
+        assert abs(vx - x) < GEOM_TOL and abs(vy - y) < GEOM_TOL
+        assert len(patch.vertex_ids()) == nverts
+
+
+def _add_extras(patch, extras_spec):
+    """Bare vertices and blocked sectors, before any tile."""
+    bare, blocked = [], []
+    for where, kind, k in extras_spec:
+        point = NEAR_POINTS[where]
+        xy = point.xy(patch.eval_rad)
+        if kind == 0:
+            patch.add_vertex(point)
+            bare.append((point, xy))
+            continue
+        start, ang = Direction.of(k, 0), (ANGLE_T, ANGLE_A, ANGLE_B)[kind - 1]
+        patch.add_blocked(point, start, ang)
+        s = start.value(patch.eval_rad)
+        blocked.append(((point, xy), s, s + ang.value(patch.eval_rad), "#"))
+    return bare, blocked
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]),
+    extras_spec=EXTRAS,
+    steps=STEPS,
+)
+def test_incremental_state_and_verdicts_match_brute_force(alpha, extras_spec, steps):
     patch = Patch(alpha)
     patch.add_vertex(ORIGIN)
-    for pick, which, op in steps:
+    bare, blocked = _add_extras(patch, extras_spec)
+    extras = ([(ORIGIN, patch.vertex_xy(0))] + bare, blocked)
+    every_step = _frontiers(patch)
+    now_and_then = None  # made once two tiles are placed
+    for pick, which, op, call in steps:
         popped = None
         if op == 0 and len(patch):
-            popped = patch.tiles[-1]
-            patch.pop_tile()
+            for _ in range(min(pick + 1, len(patch))):
+                popped = patch.tiles[-1]
+                patch.pop_tile()
+        elif op == 1:
+            _probe_vertices(patch, pick, extras)
         else:
-            cand = _next_candidate(patch, pick, which)
-            want = reference_verdict(patch, cand)
+            if op == 2:
+                cand = _turned_candidate(patch, pick, which)
+            elif op == 3:
+                cand = _slid_candidate(patch, pick, which)
+            elif op == 4:
+                cand = _stuck_candidate(patch, pick, which)
+            else:
+                cand = _next_candidate(patch, pick, which)
+            want = reference_verdict(patch, cand, extras)
             try:
                 patch.add_tile(cand)
                 got = None
@@ -241,14 +447,105 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, steps):
         assert_state_matches_fresh_scan(patch)
         assert patch.validate().ok
         assert_has_tile_answers(patch, popped)
-        assert_frontier_empty_iff_disk_closed(patch)
+        assert_frontiers_match_full_scan(patch, every_step)
+        if now_and_then is None and len(patch) >= 2:
+            now_and_then = _frontiers(patch)
+        elif now_and_then is not None and call == 0:
+            assert_frontiers_match_full_scan(patch, now_and_then)
         if len(patch):
             twin = patch.tiles[pick % len(patch)].anchor_reps()[-1]
             with pytest.raises(OverlapError):
                 patch.add_tile(twin)
-    fresh = _rebuilt(patch)
+    fresh = _rebuilt(patch, extras_spec)
     assert list(fresh.vertex_ids()) == list(patch.vertex_ids())
     for vid in patch.vertex_ids():
         assert fresh.gaps(vid) == patch.gaps(vid)
         assert fresh.star_blocks(vid) == patch.star_blocks(vid)
     assert set(fresh.boundary_edges()) == set(patch.boundary_edges())
+
+
+@pytest.mark.parametrize(
+    "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
+)
+def test_frontier_follows_pops_and_adds_between_calls(alpha):
+    """Several pops, then adds, between two calls; then pops below the
+    tiles that were there when the frontier was made."""
+    patch = Patch(alpha)
+    patch.add_vertex(ORIGIN)
+    _grow(patch, 4, 0)
+    frontiers = _frontiers(patch)
+    assert_frontiers_match_full_scan(patch, frontiers)
+    _grow(patch, 12, 0)
+    assert len(patch) == 16
+    assert_frontiers_match_full_scan(patch, frontiers)
+    for _ in range(5):
+        patch.pop_tile()
+    _grow(patch, 3, 1)
+    assert_frontiers_match_full_scan(patch, frontiers)
+    while len(patch) > 2:
+        patch.pop_tile()
+    _grow(patch, 2, 2)
+    assert_frontiers_match_full_scan(patch, frontiers)
+
+
+def _grow(patch, steps, offset):
+    """Place steps tiles, each the first candidate that fits at one of
+    the nearest open vertices."""
+    for pick in range(steps):
+        for which in range(3):
+            try:
+                patch.add_tile(_next_candidate(patch, pick + offset, which))
+                break
+            except ShieldError:
+                pass
+        else:
+            raise AssertionError("no candidate fits")
+
+
+@pytest.mark.parametrize(
+    "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
+)
+def test_bare_vertex_strictly_inside_an_edge_refused(alpha):
+    patch = Patch(alpha)
+    patch.add_vertex(ORIGIN)
+    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+    point = _inside_edge_point(patch, 0)  # on the edge from 0 to 1
+    x, y = point.xy(patch.eval_rad)
+    assert abs(y) < 1e-12 and 0.5 < x < 1.0 - 1e-3
+    with pytest.raises(EdgeMismatchError):
+        patch.add_vertex(point)
+    with pytest.raises(EdgeMismatchError):
+        patch.add_blocked(point, Direction.of(3, 0), ANGLE_T)
+    assert len(patch.vertex_ids()) == 3
+    assert patch.validate().ok
+    # the same point is accepted once the edge is gone
+    patch.pop_tile()
+    vid = patch.add_vertex(point)
+    assert patch.vertex_point(vid) == point
+    # and the edge is then refused across it
+    with pytest.raises(EdgeMismatchError):
+        patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+
+
+@pytest.mark.parametrize(
+    "n, alpha",
+    [(1.0, GENERIC), (0.6, RIGHT), (1.0, DECIMAL)],
+    ids=["generic-n1", "right-n0.6", "110deg-n1"],
+)
+def test_search_frontier_matches_full_scan(monkeypatch, n, alpha):
+    """Every frontier call of the completion searches of count_patterns,
+    which close edges at nearly every node, returns the full scan's
+    answer."""
+    calls = []
+
+    class Checked(_DiskFrontier):
+        def __call__(self):
+            got = super().__call__()
+            center = (self.cx, self.cy)
+            assert got == reference_frontier(self.patch, center, self.radius)
+            calls.append(got)
+            return got
+
+    monkeypatch.setattr(patterns, "_DiskFrontier", Checked)
+    patterns.count_patterns(n, alpha)
+    assert len(calls) > 50 and None in calls
