@@ -13,7 +13,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .alpha import AlphaSpec
 from .atlas import VertexConfig
 from .errors import NotValidated
 from .generators import hex_lattice_vector
@@ -56,52 +55,55 @@ class FaultLine:
     termini: tuple[Terminus, Terminus]
 
 
-def _spine_steps(patch: Patch, v: int):
-    """The shield-shield and triangle-triangle edges out of a fault vertex."""
-    ss = tt = None
+def fault_lines(patch: Patch) -> list[FaultLine]:
+    """All maximal fault chains, each reported once.
+
+    A fault vertex has one shield-shield and one triangle-triangle edge,
+    and its chain leaves it along both.  One pass over the edges that two
+    tiles share maps each vertex to the far end of each such edge; the
+    chain through a fault vertex then follows the two kinds in turn, and
+    each chain is walked once, from its vertex of least id.
+    """
+    words = [patch.interior_word(v) for v in patch.vertex_ids()]
+    # tile kind -> vertex -> far end of its edge between two tiles of that kind
+    spine: dict[str, dict[int, int]] = {"S": {}, "T": {}}
     for (u, w), ts in patch._edges.items():
-        if v not in (u, w) or len(ts) != 2:
+        if len(ts) == 2:
+            kind = patch.tiles[ts[0]].kind
+            if patch.tiles[ts[1]].kind == kind:
+                spine[kind][u] = w
+                spine[kind][w] = u
+
+    def walk(v: int, kind: str):
+        chain = []
+        while True:
+            nxt = spine[kind].get(v)
+            if nxt is None:
+                return chain, Terminus("PatchBoundary")
+            if words[nxt] == HEX_WORD:
+                return chain, Terminus("HexVertex", nxt)
+            if words[nxt] != FAULT_WORD:
+                return chain, Terminus("PatchBoundary")
+            chain.append(nxt)
+            v = nxt
+            kind = "T" if kind == "S" else "S"
+
+    seen: set[int] = set()
+    out = []
+    for v, word in enumerate(words):
+        if word != FAULT_WORD or v in seen:
             continue
-        kinds = sorted(patch.tiles[t].kind for t in ts)
-        other = w if u == v else u
-        if kinds == ["S", "S"]:
-            ss = other
-        elif kinds == ["T", "T"]:
-            tt = other
-    return ss, tt
+        fwd, t_fwd = walk(v, "S")
+        bwd, t_bwd = walk(v, "T")
+        verts = bwd[::-1] + [v] + fwd
+        seen.update(verts)
+        out.append(_fault_line(patch, verts, (t_bwd, t_fwd)))
+    return out
 
 
-def _walk(patch: Patch, faults: set[int], start: int, via: str):
-    """Follow the chain from `start` through its `via` spine ('SS'|'TT')."""
-    chain = []
-    v, use = start, via
-    while True:
-        ss, tt = _spine_steps(patch, v)
-        nxt = ss if use == "SS" else tt
-        if nxt is None:
-            return chain, Terminus("PatchBoundary")
-        if patch.interior_word(nxt) == HEX_WORD:
-            return chain, Terminus("HexVertex", nxt)
-        if nxt not in faults:
-            return chain, Terminus("PatchBoundary")
-        chain.append(nxt)
-        v = nxt
-        use = "TT" if use == "SS" else "SS"
-
-
-def trace_fault_line(patch: Patch, v: int) -> FaultLine:
-    """Maximal chain of fault vertices through v (SS and TT spines
-    alternate along the chain)."""
-    if patch.interior_word(v) != FAULT_WORD:
-        raise ValueError(f"vertex {v} is not an interior fault vertex")
-    faults = {
-        w for w in patch.vertex_ids() if patch.interior_word(w) == FAULT_WORD
-    }
-    fwd, t_fwd = _walk(patch, faults, v, "SS")
-    bwd, t_bwd = _walk(patch, faults, v, "TT")
-    verts = list(reversed(bwd)) + [v] + fwd
-    termini = (t_bwd, t_fwd)
-    # orient deterministically: lower endpoint coordinates first
+def _fault_line(patch: Patch, verts: list[int], termini) -> FaultLine:
+    """The chain oriented deterministically: lower endpoint coordinates
+    first."""
     first = patch.vertex_xy(verts[0])
     last = patch.vertex_xy(verts[-1])
     if (round(first[0], 6), round(first[1], 6)) > (round(last[0], 6), round(last[1], 6)):
@@ -117,19 +119,12 @@ def trace_fault_line(patch: Patch, v: int) -> FaultLine:
     return FaultLine(tuple(verts), direction, termini)
 
 
-def fault_lines(patch: Patch) -> list[FaultLine]:
-    """All maximal fault chains, each reported once."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for v in patch.vertex_ids():
-        if patch.interior_word(v) != FAULT_WORD:
-            continue
-        fl = trace_fault_line(patch, v)
-        if fl.vertices in seen:
-            continue
-        seen.add(fl.vertices)
-        out.append(fl)
-    return out
+def trace_fault_line(patch: Patch, v: int) -> FaultLine:
+    """Maximal chain of fault vertices through v (shield-shield and
+    triangle-triangle edges alternate along the chain)."""
+    if patch.interior_word(v) != FAULT_WORD:
+        raise ValueError(f"vertex {v} is not an interior fault vertex")
+    return next(fl for fl in fault_lines(patch) if v in fl.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +248,13 @@ def _classify_lines(patch: Patch) -> Classification:
 def _read_word(patch: Patch, cents, chains, axis):
     """Orientation word of a stripe decomposition, or None if invalid."""
     signs = {}
-    ref = patch.tiles[chains[0][0]].canonical().heading
+    # the A-anchors of a shield have headings (a, b), (a + 2, b) and
+    # (a + 4, b), so the parity read below does not depend on the anchor
+    ref = patch.tiles[chains[0][0]].heading
     for idx, members in enumerate(chains):
         sgs = set()
         for m in members:
-            h = patch.tiles[m].canonical().heading
+            h = patch.tiles[m].heading
             da, db = h.a - ref.a, h.b - ref.b
             if db % 2 != 0:
                 return None
@@ -285,7 +282,7 @@ def _read_word(patch: Patch, cents, chains, axis):
     return Classification("Line", word=word, complete=True)
 
 
-def _classify_triangles(patch: Patch, hexes: list[int], alpha: AlphaSpec) -> Classification:
+def _classify_triangles(patch: Patch, hexes: list[int]) -> Classification:
     shields = any(t.kind == "S" for t in patch.tiles)
     if not shields:
         return Classification("Triangle", order=0, complete=True)
@@ -335,8 +332,6 @@ def classify(patch: Patch) -> Classification:
         return Classification(
             "Inconclusive", reason="right shield out of classification scope"
         )
-    if not patch.validate().ok:
-        raise NotValidated(str(patch.validate()))
     census = vertex_census(patch)
     words = {cfg.word for cfg in census}
     if not words:
@@ -352,5 +347,5 @@ def classify(patch: Patch) -> Classification:
         v for cfg, vs in census.items() if cfg.word == HEX_WORD for v in vs
     ]
     if hexes:
-        return _classify_triangles(patch, hexes, patch.alpha)
+        return _classify_triangles(patch, hexes)
     return _classify_lines(patch)

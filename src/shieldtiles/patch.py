@@ -266,10 +266,8 @@ class Patch:
                 return vid
         return None
 
-    def _get_or_make_vid(self, xy, point, journal=None):
-        vid = self._find_vid(xy, point)
-        if vid is not None:
-            return vid
+    def _make_vid(self, xy, point, journal=None):
+        """Id of a new vertex at a point that _find_vid has just missed."""
         vid = len(self._vertices)
         self._vertices.append(_Vertex(point, xy))
         if self.exact_keys:
@@ -277,7 +275,7 @@ class Patch:
         vcell = (math.floor(xy[0]), math.floor(xy[1]))
         self._vgrid.setdefault(vcell, []).append(vid)
         if journal is not None:
-            journal.append(("vertex", vid, point, vcell))
+            journal.append((vid, point, vcell))
         return vid
 
     # -- geometry helpers ------------------------------------------------
@@ -348,7 +346,7 @@ class Patch:
             return vid
         if self._inside_some_edge(*xy):
             raise EdgeMismatchError("vertex lies inside an existing edge")
-        return self._get_or_make_vid(xy, point)
+        return self._make_vid(xy, point)
 
     def add_blocked(self, point: ExactPoint, start: Direction, ang: SymbolicAngle):
         """Reserve an angular sector at a vertex (used for region boundaries)."""
@@ -459,20 +457,17 @@ class Patch:
 
         # -- commit --
         journal = []
-        real_vids = []
         for xy, pt, vid in zip(xys, pts, vids):
-            if vid >= len(self._vertices):
-                got = self._get_or_make_vid(xy, pt, journal)
-                # tentative numbering matches creation order
-                assert got == vid, "vertex id mismatch"
-            real_vids.append(vid)
+            if vid >= old:
+                # new vertices are made in the order of their tentative ids
+                self._make_vid(xy, pt, journal)
         tidx = len(self.tiles)
         self.tiles.append(pl)
-        self._tile_vids.append(real_vids)
+        self._tile_vids.append(vids)
         self._tile_polys.append(flat)
         self._tile_discs.append(disc)
         for i in range(n):
-            u, v = real_vids[i], real_vids[(i + 1) % n]
+            u, v = vids[i], vids[(i + 1) % n]
             ek = (u, v) if u < v else (v, u)
             ts = edge_tiles[i]
             if ts is not None:
@@ -488,15 +483,22 @@ class Patch:
             self._gap_cache.pop(vid, None)
         cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
         self._grid.setdefault(cell, []).append(tidx)
-        self._undo.append((journal, real_vids, cell))
+        self._undo.append((journal, vids, cell))
         self._report = None
-        return real_vids
+        return vids
 
     def pop_tile(self):
-        """Undo the most recent add_tile."""
+        """Undo the most recent add_tile.
+
+        Raises ValueError, and changes nothing, when a vertex has been made
+        since that tile (add_vertex or add_blocked at a new point): the
+        tile's new vertices are then no longer the last ones."""
         if self._frozen:
             raise ValueError("patch is frozen")
-        journal, vids, cell = self._undo.pop()
+        journal, vids, cell = self._undo[-1]
+        if journal and journal[-1][0] != len(self._vertices) - 1:
+            raise ValueError("a vertex was made after the last tile")
+        self._undo.pop()
         tidx = len(self.tiles) - 1
         self.tiles.pop()
         self._tile_vids.pop()
@@ -523,9 +525,7 @@ class Patch:
             vtx.intervals = [iv for iv in vtx.intervals if iv[4] != tidx]
             self._gap_cache.pop(vid, None)
         self._grid[cell].remove(tidx)
-        for entry in reversed(journal):
-            _, vid, point, vcell = entry
-            assert vid == len(self._vertices) - 1
+        for vid, point, vcell in reversed(journal):
             self._vertices.pop()
             if self.exact_keys:
                 del self._key2vid[point.coeffs]
@@ -810,8 +810,8 @@ class PatternBall:
     """The sub-patch of tiles within distance `radius` of a center vertex.
 
     Its keys code each tile by its kind and its corner points, relative to
-    the center (see `canonical_key`).  For numeric alpha the keys use
-    center_xy only, so center may be None.
+    the center (see `canonical_key`): the exact center for generic alpha,
+    center_xy for numeric alpha.
     """
 
     alpha: AlphaSpec

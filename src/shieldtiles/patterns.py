@@ -595,30 +595,21 @@ def dodecagon_fillings() -> tuple[Patch, ...]:
     search runs once per process; every call returns the same patches.
     """
     cxy = dodecagon_center_xy()
-    fillings: dict[str, list[Placement]] = {}
-
-    def record(p: Patch):
-        ball = PatternBall(
-            alpha=RIGHT,
-            center=None,
-            center_xy=cxy,
-            radius=0.0,
-            tiles=tuple(p.tiles),
-        )
-        # distinct relative to the fixed dodecagon frame: rotated copies of
-        # one filling are different choices when packing
-        fillings.setdefault(ball.translation_key(), list(p.tiles))
-
+    fillings: list[list[Placement]] = []
     patch = dodecagon_patch()
+    # each node fills the gap at one vertex with the tile that covers the
+    # gap's start ray, and a completion fixes that tile, so the search
+    # reaches each filling once; rotated copies of one filling are
+    # different choices when packing
     _Search(
         patch=patch,
         frontier=lambda: _gap_frontier(patch, cxy),
         budget=NodeBudget(DEFAULT_BUDGET),
-        on_solution=record,
+        on_solution=lambda p: fillings.append(list(p.tiles)),
     ).run()
     out = []
     for tiles in sorted(
-        fillings.values(), key=lambda ts: sorted(map(_placement_sort_key, ts))
+        fillings, key=lambda ts: sorted(map(_placement_sort_key, ts))
     ):
         q = Patch(RIGHT)
         for t in tiles:

@@ -126,6 +126,35 @@ def test_pop_tile_on_fresh_patch_has_nothing_to_undo():
         patch.pop_tile()
 
 
+@pytest.mark.parametrize("alpha", [GENERIC, ALPHA_NUM])
+@pytest.mark.parametrize("make", ["vertex", "blocked"])
+def test_pop_tile_refused_after_a_newer_vertex(alpha, make):
+    patch = Patch(alpha)
+    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+    far = ExactPoint.from_dict({0: (5, 0)})
+    if make == "vertex":
+        patch.add_vertex(far)
+    else:
+        patch.add_blocked(far, Direction.of(0, 0), SymbolicAngle(1, 0))
+
+    def state():
+        return (
+            list(patch.tiles),
+            {ek: list(ts) for ek, ts in patch._edges.items()},
+            [patch.vertex_xy(v) for v in patch.vertex_ids()],
+            [list(patch._vertices[v].intervals) for v in patch.vertex_ids()],
+            set(patch.boundary_edges()),
+            str(patch.validate()),
+        )
+
+    before = state()
+    with pytest.raises(ValueError, match="vertex was made after"):
+        patch.pop_tile()
+    assert state() == before
+    assert len(patch) == 1 and len(patch.vertex_ids()) == 4
+    assert patch.validate().ok
+
+
 def test_pop_tile_unwinds_every_add_in_order():
     patch = hex_star()
     assert len(patch) == 6
