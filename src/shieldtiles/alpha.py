@@ -49,10 +49,6 @@ class AlphaSpec:
     rad: float | None = None  # numeric value, rational and decimal kinds
 
     @property
-    def is_numeric(self) -> bool:
-        return self.kind != "generic"
-
-    @property
     def right_shield(self) -> bool:
         return self.kind == "rational" and self.frac == Fraction(1, 2)
 
@@ -90,6 +86,8 @@ def make_alpha(kind: str, *params) -> AlphaSpec:
         return GENERIC
     if kind == "rational":
         s, t = params
+        if t == 0:
+            raise OutOfRange(f"alpha = {s}*pi/0 has a zero denominator")
         frac = Fraction(s, t)
         if not Fraction(1, 3) < frac < Fraction(2, 3):
             raise OutOfRange(f"alpha = {frac}*pi outside (pi/3, 2pi/3)")

@@ -129,20 +129,6 @@ class Placement:
             h = Direction.of(-self.heading.a, -self.heading.b - 1)
         return Placement(self.kind, self.anchor.conj(), h)
 
-    def anchor_reps(self) -> list["Placement"]:
-        """Equivalent placements re-anchored at each legal anchor corner."""
-        pts = self.corner_points()
-        dirs = self.corner_dirs()
-        step = 1 if self.kind == "T" else 2
-        reps = []
-        for i in range(0, len(pts), step):
-            reps.append(Placement(self.kind, pts[i], dirs[i][1]))
-        return reps
-
-    def canonical(self) -> "Placement":
-        """Deterministic representative among the anchor choices."""
-        return min(self.anchor_reps(), key=_placement_sort_key)
-
 
 @lru_cache(maxsize=4096)
 def _corner_dirs(kind, a, b):
@@ -155,10 +141,6 @@ def _corner_dirs(kind, a, b):
         nxt = labels[(i + 1) % len(labels)]
         d = d.plus(HALF_TURN - LABEL_ANGLES[nxt])
     return out
-
-
-def _placement_sort_key(pl: Placement):
-    return (pl.kind, pl.anchor.coeffs, pl.heading.a, pl.heading.b)
 
 
 def placement_with_corner(
@@ -221,7 +203,6 @@ class _Vertex:
         self.point = point
         self.xy = xy
         # interval: (start_rad, end_rad, start_dir, angle, tile_idx, label)
-        # tile_idx is None for blocked (external) sectors
         self.intervals: list[tuple] = []
 
 
@@ -337,39 +318,15 @@ class Patch:
 
     # -- construction ------------------------------------------------------
 
-    def _bare_vid(self, point: ExactPoint) -> int:
-        """Vertex id of point, made when new; EdgeMismatchError if a new
-        vertex would lie strictly inside an edge."""
-        xy = point.xy(self.eval_rad)
-        vid = self._find_vid(xy, point)
-        if vid is not None:
-            return vid
-        if self._inside_some_edge(*xy):
-            raise EdgeMismatchError("vertex lies inside an existing edge")
-        return self._make_vid(xy, point)
-
-    def add_blocked(self, point: ExactPoint, start: Direction, ang: SymbolicAngle):
-        """Reserve an angular sector at a vertex (used for region boundaries)."""
-        if self._frozen:
-            raise ValueError("patch is frozen")
-        vid = self._bare_vid(point)
-        s = start.value(self.eval_rad)
-        e = s + ang.value(self.eval_rad)
-        self._vertices[vid].intervals.append((s, e, start, ang, None, "#"))
-        self._gap_cache.pop(vid, None)
-        self._report = None
-        return vid
-
     def add_tile(self, pl: Placement) -> list[int]:
         """Place a tile; raises and leaves the patch unchanged on conflict.
 
         Returns the vertex ids of the tile corners.
 
-        No vertex of the patch lies strictly inside an edge: add_vertex,
-        add_blocked and add_tile each refuse a vertex or an edge that would
-        break this.  So three tests are left out, each of which could only
-        find what the invariant rules out or what another test has ruled
-        out already:
+        No vertex of the patch lies strictly inside an edge: add_vertex and
+        add_tile each refuse a vertex or an edge that would break this.  So
+        three tests are left out, each of which could only find what the
+        invariant rules out or what another test has ruled out already:
 
         - the corner-inside-edge test of a corner that lands on a vertex
           of the patch: the corner is that vertex, which lies inside no
@@ -491,8 +448,8 @@ class Patch:
         """Undo the most recent add_tile.
 
         Raises ValueError, and changes nothing, when a vertex has been made
-        since that tile (add_vertex or add_blocked at a new point): the
-        tile's new vertices are then no longer the last ones."""
+        since that tile (add_vertex at a new point): the tile's new vertices
+        are then no longer the last ones."""
         if self._frozen:
             raise ValueError("patch is frozen")
         journal, vids, cell = self._undo[-1]
@@ -559,7 +516,13 @@ class Patch:
 
         Raises EdgeMismatchError if the point is not a vertex yet and lies
         strictly inside an edge."""
-        return self._bare_vid(point)
+        xy = point.xy(self.eval_rad)
+        vid = self._find_vid(xy, point)
+        if vid is not None:
+            return vid
+        if self._inside_some_edge(*xy):
+            raise EdgeMismatchError("vertex lies inside an existing edge")
+        return self._make_vid(xy, point)
 
     def vertex_ids(self) -> range:
         return range(len(self._vertices))
@@ -572,7 +535,7 @@ class Patch:
 
     def tiles_at(self, vid: int) -> set[int]:
         """Indices of the tiles with a corner at a vertex."""
-        return {iv[4] for iv in self._vertices[vid].intervals if iv[4] is not None}
+        return {iv[4] for iv in self._vertices[vid].intervals}
 
     def tiles_touching(self, pl: Placement):
         """Indices of the placed tiles whose bounding disc meets pl's, within
@@ -583,18 +546,17 @@ class Patch:
         return self._discs_meeting(disc, self._tile_ids_near(disc[0], disc[1]))
 
     def interior_word(self, vid: int) -> str | None:
-        """Canonical corner word of a full star without blocked sectors."""
+        """Canonical corner word of a closed star, else None."""
         ivs = self._vertices[vid].intervals
         return _star_word(ivs) if self._star_verdict(ivs)[1] else None
 
     def _star_verdict(self, ivs) -> tuple[str | None, bool]:
         """(fault, closed) for the corner intervals ivs around one vertex.
 
-        closed is True when the corners close a full turn within TURN_TOL
-        with no blocked sector.  fault is "overlap" when the corners exceed
-        a full turn, "atlas" when they close it but their angles do not
-        solve the vertex equation (the atlas holds every arrangement of
-        every solution), else None.  Only a decimal alpha within about 1e-7
+        closed is True when the corners close a full turn within TURN_TOL.
+        fault is "overlap" when the corners exceed a full turn, "atlas" when
+        they close it but their angles do not solve the vertex equation (the
+        atlas holds every arrangement of every solution), else None.  Only a decimal alpha within about 1e-7
         rad of a special value can close a star that the equation, exact to
         1e-9, rejects.  The corner word is left to _star_word, for the
         callers that read it.
@@ -602,7 +564,7 @@ class Patch:
         total = sum(iv[1] - iv[0] for iv in ivs)
         if total > TWO_PI + TURN_TOL:
             return "overlap", False
-        if abs(total - TWO_PI) >= TURN_TOL or any(iv[4] is None for iv in ivs):
+        if abs(total - TWO_PI) >= TURN_TOL:
             return None, False
         legal = full_turn_check((iv[3] for iv in ivs), self.alpha)
         return (None if legal else "atlas"), True

@@ -26,7 +26,6 @@ from .patch import (
     Patch,
     PatternBall,
     Placement,
-    _placement_sort_key,
     placement_with_corner,
     star_placements,
 )
@@ -86,10 +85,10 @@ class _Search:
     patch: Patch
     frontier: object  # () -> nearest (dist2, vid), or None when complete
     budget: NodeBudget
+    must_close: float
     tile_filter: object = None
     on_solution: object = None
     first_only: bool = False
-    must_close: float = math.inf
 
     def run(self) -> bool | set[int] | None:
         """Search every completion of the patch as it stands.
@@ -181,31 +180,6 @@ def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
     return [placement_with_corner(*LABEL_CORNERS[lab], point, d) for lab in "TAB"]
 
 
-def _nearest_open(patch: Patch, cands):
-    """Least (dist2, vid) among the candidates (dist2, vid) whose vertex has
-    a gap, or None.
-
-    Only a vertex nearer than the best so far has its gaps looked up."""
-    best = None
-    for cand in cands:
-        if (best is None or cand < best) and patch.gaps(cand[1]):
-            best = cand
-    return best
-
-
-def _dist2(patch: Patch, center_xy, vids):
-    """(dist2, vid) from the center for each vertex of vids."""
-    cx, cy = center_xy
-    for w in vids:
-        x, y = patch.vertex_xy(w)
-        yield (x - cx) ** 2 + (y - cy) ** 2, w
-
-
-def _gap_frontier(patch: Patch, center_xy):
-    """Nearest vertex with a gap."""
-    return _nearest_open(patch, _dist2(patch, center_xy, patch.vertex_ids()))
-
-
 class _DiskFrontier:
     """Nearest gap-bearing end of a boundary edge that meets a disk.
 
@@ -287,7 +261,14 @@ class _DiskFrontier:
     def __call__(self):
         self._sync()
         p = self.patch
-        return _nearest_open(p, _dist2(p, (self.cx, self.cy), self.counts))
+        best = None
+        # only a vertex nearer than the best so far has its gaps looked up
+        for w in self.counts:
+            x, y = p.vertex_xy(w)
+            cand = ((x - self.cx) ** 2 + (y - self.cy) ** 2, w)
+            if (best is None or cand < best) and p.gaps(w):
+                best = cand
+        return best
 
 
 def fill_disk(
@@ -302,15 +283,15 @@ def fill_disk(
 ) -> bool:
     """DFS over all completions until no boundary edge meets the disk.
 
-    The patch must hold no blocked sectors: then both ends of a boundary
-    edge have an open gap, so an empty frontier means the disk is complete.
-    With first_only the patch is left in the first completed state found
-    and True is returned; otherwise on_solution is invoked on every
-    completion, the patch is restored and False is returned.  budget is a
-    node count, or a NodeBudget shared with other searches.  tile_filter
-    (patch, placement, vids) -> bool may refuse a placed tile; it must look
-    only at tiles touching it, and refuse whatever it refused before once
-    more tiles are placed.
+    Each end of a boundary edge has an open gap (a closed star has a
+    second tile on each of its edges), so an empty frontier means the disk
+    is complete.  With first_only the patch is left in the first completed
+    state found and True is returned; otherwise on_solution is invoked on
+    every completion, the patch is restored and False is returned.  budget
+    is a node count, or a NodeBudget shared with other searches.
+    tile_filter (patch, placement, vids) -> bool may refuse a placed tile;
+    it must look only at tiles touching it, and refuse whatever it refused
+    before once more tiles are placed.
 
     A dead branch backjumps (see _Search.run).  A vertex in the closed disk
     closes in every completion, since each edge at it meets the disk: half
@@ -526,8 +507,6 @@ _DODECA_DIRS = [
     for k in range(12)
 ]
 
-DODECAGON_EXTERIOR = SymbolicAngle(2, 1)  # 210 degrees at alpha = pi/2
-
 RIGHT = make_alpha("rational", 1, 2)
 
 
@@ -539,12 +518,8 @@ def dodecagon_vertices() -> list[ExactPoint]:
     return pts
 
 
-def dodecagon_patch() -> Patch:
-    """Empty patch whose outside of one dodecagon is blocked off."""
-    patch = Patch(RIGHT)
-    for k, p in enumerate(dodecagon_vertices()):
-        patch.add_blocked(p, _DODECA_DIRS[k - 1].opposite(), DODECAGON_EXTERIOR)
-    return patch
+# the exact center of that dodecagon
+DODECAGON_CENTER = ExactPoint.from_dict({0: (0, 1), 1: (1, 0)})
 
 
 def dodecagon_center_xy():
@@ -589,31 +564,26 @@ def packing_cells(rho: float) -> list[tuple[int, int, ExactPoint]]:
 def dodecagon_fillings() -> tuple[Patch, ...]:
     """All ways to tile the unit-edge regular dodecagon, as frozen patches.
 
-    The order defines the filling index used when generating packing
-    tilings.  Fillings are ordered by their sorted placements (kind, exact
-    anchor, heading), so the index does not depend on the key format.  The
-    search runs once per process; every call returns the same patches.
+    Filling k is the AAAA star at the center, its four shields headed
+    k*pi/3 + b*pi/2 for b = 0..3, plus the four triangles that its
+    vertex stars force.  The index k names the filling when generating
+    packing tilings: the triangles of filling k lie in the directions
+    90*b + 60*k degrees from the center.  That there are no others is
+    checked by a completion search inside a collar of packing tiles (see
+    the test suite).  Every call returns the same patches.
     """
-    cxy = dodecagon_center_xy()
-    fillings: list[list[Placement]] = []
-    patch = dodecagon_patch()
-    # each node fills the gap at one vertex with the tile that covers the
-    # gap's start ray, and a completion fixes that tile, so the search
-    # reaches each filling once; rotated copies of one filling are
-    # different choices when packing
-    _Search(
-        patch=patch,
-        frontier=lambda: _gap_frontier(patch, cxy),
-        budget=NodeBudget(DEFAULT_BUDGET),
-        on_solution=lambda p: fillings.append(list(p.tiles)),
-    ).run()
     out = []
-    for tiles in sorted(
-        fillings, key=lambda ts: sorted(map(_placement_sort_key, ts))
-    ):
+    for k in range(3):
         q = Patch(RIGHT)
-        for t in tiles:
-            q.add_tile(t)
+        for b in range(4):
+            d = Direction.of(k, b)
+            q.add_tile(Placement("S", DODECAGON_CENTER, d))
+            # the B corners of shields b and b - 1 meet at the end of
+            # shield b's first edge and leave the pi/3 from -30 to +30
+            # degrees about that edge's direction
+            q.add_tile(Placement(
+                "T", DODECAGON_CENTER.step(d), Direction.of(k + 1, b - 1)
+            ))
         q.require_valid()
         q.freeze()
         out.append(q)

@@ -84,6 +84,8 @@ def _parse_exact(text: str) -> ExactPoint:
 
 
 def _parse_tile(parts: list[str]) -> Placement:
+    if len(parts) < 3:
+        raise FormatError(f"bad tile line: {' '.join(parts)}")
     kind = parts[1]
     if kind not in ("T", "S"):
         raise FormatError(f"unknown tile kind {kind!r}")

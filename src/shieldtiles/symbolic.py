@@ -74,9 +74,6 @@ class Direction:
     def plus(self, ang: SymbolicAngle) -> "Direction":
         return Direction.of(self.a + ang.a, self.b + ang.b)
 
-    def opposite(self) -> "Direction":
-        return Direction.of(self.a + 3, self.b)
-
     def minus(self, other: "Direction") -> SymbolicAngle:
         return SymbolicAngle(self.a - other.a, self.b - other.b)
 

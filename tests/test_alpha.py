@@ -17,7 +17,7 @@ SPECIAL_DEGREES = (72.0, 75.0, 80.0, 90.0, 100.0)  # exact rational values
 
 def test_generic_is_singleton_and_symbolic():
     assert make_alpha("generic") is GENERIC
-    assert not GENERIC.is_numeric
+    assert GENERIC.rad is None
     with pytest.raises(NoNumericValue):
         GENERIC.radians()
     assert GENERIC.eval_radians() == REFERENCE_ALPHA
@@ -54,7 +54,7 @@ def test_decimal_near_special_is_ambiguous(deg):
 
 def test_decimal_just_off_special_is_accepted():
     a = make_alpha("decimal", 90.001)
-    assert a.is_numeric and not a.right_shield
+    assert a.kind == "decimal" and not a.right_shield
 
 
 def test_parse_alpha_forms():

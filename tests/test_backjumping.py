@@ -15,9 +15,15 @@ from shieldtiles import patterns
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.classify import classify
 from shieldtiles.errors import ShieldError
-from shieldtiles.generators import gen_triangle_tiling
-from shieldtiles.patch import Patch, _placement_sort_key
+from shieldtiles.generators import (
+    DodecagonChoice,
+    gen_dodecagon_tiling,
+    gen_triangle_tiling,
+)
+from shieldtiles.patch import Patch
 from shieldtiles.patterns import (
+    DODECA_CIRCUM,
+    DODECAGON_CENTER,
     _flush_candidates,
     _Search,
     complete_ball,
@@ -58,7 +64,9 @@ class _Chronological(_Search):
 
 
 def _placements(patch: Patch) -> tuple:
-    return tuple(sorted(map(_placement_sort_key, patch.tiles)))
+    return tuple(sorted(
+        (t.kind, t.anchor.coeffs, t.heading.a, t.heading.b) for t in patch.tiles
+    ))
 
 
 def _traced(job, search_cls, **overrides):
@@ -96,9 +104,22 @@ def _count(n, alpha):
     return job
 
 
-def _fillings():
-    # past the cache, so that the search runs under the test
-    return [_placements(p) for p in patterns.dodecagon_fillings.__wrapped__()]
+def _collar_fillings():
+    # the fillings of dodecagon cell (0, 0) inside the rest of a packing
+    # window (see test_patterns.test_no_other_dodecagon_filling), here
+    # searched from a bare vertex at the cell's center, whose frontier
+    # order leaves dead branches below unrelated choices
+    found = []
+    for j in range(3):
+        window = gen_dodecagon_tiling(DodecagonChoice.constant(j), 6)
+        cell = set(patterns.dodecagon_fillings()[j].tiles)
+        patch = Patch(RIGHT)
+        for t in window.tiles:
+            if t not in cell:
+                patch.add_tile(t)
+        fill_disk(patch, patch.add_vertex(DODECAGON_CENTER), DODECA_CIRCUM + 1e-3,
+                  on_solution=lambda p: found.append(_placements(p)))
+    return sorted(found)
 
 
 CASES = {
@@ -107,7 +128,7 @@ CASES = {
     "right-n1.0": _count(1.0, RIGHT),
     "5pi/12-n1": _count(1.0, make_alpha("rational", 5, 12)),
     "110.3deg-n1": _count(1.0, DECIMAL),
-    "dodecagon": _fillings,
+    "dodecagon": _collar_fillings,
 }
 
 

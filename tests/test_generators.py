@@ -72,10 +72,41 @@ def test_dodecagon_tilings_validate(filling):
     assert "AAAA" in words or "BBT" in words  # right-shield signatures
 
 
+# the AATTT witness window of acceptance criterion 7
+WITNESS = DodecagonChoice(assignment={(0, 1): 1}, default=0)
+
+
+def _geometry_digest(patch) -> str:
+    """sha256 of the sorted (kind, sorted corners rounded to 9 decimals)."""
+    rad = patch.eval_rad
+    tiles = sorted(
+        (t.kind, sorted((round(x, 9) + 0.0, round(y, 9) + 0.0)
+                        for x, y in t.corner_xy(rad)))
+        for t in patch.tiles
+    )
+    return hashlib.sha256(repr(tiles).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("choice, digest", [
+    (DodecagonChoice.constant(0),
+     "96a95e9a34059bbfe0fcdde193e2c1a78aaa496be565549e1ef712dbf9f0f30d"),
+    (DodecagonChoice.constant(1),
+     "26c3a1993dd780ccca13b2763b49c0f52a6ebbae7a8996e0434c244090e0af8b"),
+    (DodecagonChoice.constant(2),
+     "45f1821cf0b59932700e460fa10d647b83e789bc182b6dabf48044e562e071c1"),
+    (WITNESS,
+     "7376f667382ef85d73393dc3ae4dd1fbee3d5e939c88b54097f6d215ba463f5c"),
+], ids=["0", "1", "2", "witness"])
+def test_dodecagon_window_geometry_pinned(choice, digest):
+    # the tiles as point sets, whatever their anchors or placement order
+    patch = gen_dodecagon_tiling(choice, 4)
+    assert _geometry_digest(patch) == digest
+
+
 @pytest.mark.parametrize("filling, digest", [
-    (0, "33e3c428f98e8387bf8c96c797274d7762c25b66302da5ec2156ffe4851db1a1"),
-    (1, "8305da825f2ad893cdbe34d7de2ddee27dfe895722482432290e01091be3a335"),
-    (2, "3f425b13cdf778edc6f024f40c018e244080b436c05457db614fc92e24db80af"),
+    (0, "01aa7cce34624ee9db2709e52e623225aa667f4fb0eaa3e7504787debf906676"),
+    (1, "dcaab39ac83d7f36544393c249ace2d1314e3b6dbf67bdf2c61d1bc3d4e2d687"),
+    (2, "befb5be67fe5d728f69d9baa7e624988e7056ad08a2df954204e5d0b1a4597ca"),
 ])
 def test_dodecagon_window_placements_pinned(filling, digest):
     # the ordered placements, so a cell placed elsewhere or in another

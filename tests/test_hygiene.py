@@ -1,12 +1,22 @@
-"""Source hygiene: every imported name is used by its module."""
+"""Source hygiene: every imported name is used by its module, and every
+definition under src/ is read somewhere in src/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted(
-    [*(ROOT / "src" / "shieldtiles").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+PACKAGE = ROOT / "src" / "shieldtiles"
+SCANNED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+# definitions that no module of the package reads, with their readers
+READ_OUTSIDE = {
+    "trace_fault_line": "the fault-line tests walk single chains with it",
+    "PatternBall.translation_key": "the acceptance tests key fillings with it",
+    "Placement.reflected": "the key tests mirror balls and fillings with it",
+    "AlphaSpec.exceptional": "the alpha tests check the flag at the exceptional angles",
+    "ExactPoint.origin": "the tests spell the origin with it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +42,77 @@ def unused_imports(source: str) -> list[str]:
             used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items()
             if name not in used]
+
+
+def _reads(node) -> Counter:
+    """Names read below node: loaded names and loaded attributes."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+    return out
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function, class and method."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = prefix + child.name
+            yield qual, child
+            yield from _definitions(child, qual + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def unused_definitions(sources: dict[str, str], exempt) -> list[str]:
+    """Definitions whose name no source reads outside the definition itself.
+
+    sources maps a module name to its text.  Names are matched loosely: a
+    method counts as read when any attribute of its name is loaded.
+    Dunders and the qualified names in exempt are passed over.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(_reads(tree))
+    found = []
+    for module, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or qual in exempt:
+                continue
+            if reads[name] == _reads(node)[name]:
+                found.append(f"{module}: {qual}")
+    return found
+
+
+def test_scan_finds_an_unused_definition():
+    src = (
+        "def used():\n    return dead\n\n"
+        "def dead(n):\n    return dead(n - 1)\n\n"
+        "class C:\n    def m(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "used()\nC().m\n"
+    )
+    assert unused_definitions({"a": src}, set()) == []
+    src = src.replace("return dead\n", "return 0\n").replace("C().m", "C()")
+    assert unused_definitions({"a": src}, {"C.m"}) == ["a: dead"]
+    assert unused_definitions({"a": src}, set()) == ["a: dead", "a: C.m"]
+
+
+def test_no_unused_definitions():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 10
+    assert unused_definitions(sources, {*exported, *READ_OUTSIDE}) == []
 
 
 def test_scan_finds_an_unused_import():

@@ -4,17 +4,11 @@ import pytest
 
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.cli import main
+from shieldtiles.errors import ShieldError
 from shieldtiles.generators import gen_line_tiling, gen_triangle_tiling
 from shieldtiles.patch import FloatPoint, Patch, Placement
 from shieldtiles.shieldio import FormatError, dumps, loads
 from shieldtiles.symbolic import Direction, ExactPoint
-
-
-def canonical_tiles(patch):
-    return sorted(
-        (t.kind, t.anchor.coeffs, t.heading.a, t.heading.b)
-        for t in (pl.canonical() for pl in patch.tiles)
-    )
 
 
 @pytest.mark.parametrize("alpha", [GENERIC, make_alpha("rational", 5, 12)])
@@ -22,7 +16,8 @@ def test_roundtrip_exact(alpha):
     patch = gen_line_tiling("+-", 3, alpha)
     again = loads(dumps(patch))
     assert again.alpha == patch.alpha
-    assert canonical_tiles(again) == canonical_tiles(patch)
+    # exact anchors and headings are written as they are placed
+    assert again.tiles == patch.tiles
     assert again.validate().ok
 
 
@@ -68,6 +63,22 @@ def test_comments_and_blank_lines_ignored():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(FormatError):
         loads(text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("shield-patch 1\nalpha generic\ntile T\n", FormatError),
+    ("shield-patch 1\nalpha generic\ntile\n", FormatError),
+    ("shield-patch 1\nalpha rational 1 0\n", ValueError),
+], ids=["tile-without-anchor", "bare-tile", "zero-denominator"])
+def test_short_lines_and_zero_denominators_are_errors(tmp_path, capsys, text, error):
+    # an error of the package, which the command line reports, not a traceback
+    with pytest.raises(ShieldError) as exc:
+        loads(text)
+    assert isinstance(exc.value, error)
+    f = tmp_path / "bad.shield"
+    f.write_text(text)
+    assert main(["classify", str(f)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_atlas_generic(capsys):
@@ -142,3 +153,5 @@ def test_cli_error_exit_1(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.shield")]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["atlas", "--alpha", "1/3"]) == 1
+    assert main(["atlas", "--alpha", "1/0"]) == 1
+    assert "zero denominator" in capsys.readouterr().err

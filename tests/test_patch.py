@@ -127,15 +127,11 @@ def test_pop_tile_on_fresh_patch_has_nothing_to_undo():
 
 
 @pytest.mark.parametrize("alpha", [GENERIC, ALPHA_NUM])
-@pytest.mark.parametrize("make", ["vertex", "blocked"])
+@pytest.mark.parametrize("make", ["vertex"])
 def test_pop_tile_refused_after_a_newer_vertex(alpha, make):
     patch = Patch(alpha)
     patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
-    far = ExactPoint.from_dict({0: (5, 0)})
-    if make == "vertex":
-        patch.add_vertex(far)
-    else:
-        patch.add_blocked(far, Direction.of(0, 0), SymbolicAngle(1, 0))
+    patch.add_vertex(ExactPoint.from_dict({0: (5, 0)}))
 
     def state():
         return (
@@ -175,20 +171,6 @@ def test_frozen_patch_refuses_pop_tile():
         patch.pop_tile()
     assert len(patch) == 6
     assert patch.validate().ok
-
-
-def test_anchor_representatives_are_equivalent():
-    pl = Placement("S", ORIGIN, Direction.of(2, 1))
-    rad = ALPHA_NUM.radians()
-    base = sorted(
-        (round(x, 9), round(y, 9)) for x, y in pl.corner_xy(rad)
-    )
-    for rep in pl.anchor_reps():
-        pts = sorted(
-            (round(x, 9), round(y, 9)) for x, y in rep.corner_xy(rad)
-        )
-        assert pts == base
-    assert pl.canonical() == pl.rotated(SymbolicAngle(0, 0)).canonical()
 
 
 def test_extract_ball_requires_coverage():
@@ -292,11 +274,14 @@ def test_float_anchored_ball_keys_like_its_exact_twin():
     alpha = make_alpha("decimal", 110)
     rad = alpha.eval_radians()
     ball = _grown_ball(alpha)
-    # re-anchor every tile at another corner, given by coordinates only
-    tiles = tuple(
-        Placement(r.kind, FloatPoint(*r.anchor.xy(rad)), r.heading)
-        for r in (t.anchor_reps()[-1] for t in ball.tiles)
-    )
+    # re-anchor every tile at its last anchor corner (a triangle's third,
+    # a shield's fifth), given by coordinates only
+    tiles = []
+    for t in ball.tiles:
+        i = 2 if t.kind == "T" else 4
+        x, y = t.corner_xy(rad)[i]
+        tiles.append(Placement(t.kind, FloatPoint(x, y), t.corner_dirs()[i][1]))
+    tiles = tuple(tiles)
     twin = PatternBall(alpha=alpha, center=None, center_xy=ball.center_xy,
                        radius=ball.radius, tiles=tiles)
     assert twin.key() == ball.key()
@@ -328,20 +313,6 @@ def test_validate_reports_corner_inside_an_edge(monkeypatch):
     report = patch.validate()
     assert [v.kind for v in report.violations] == ["t_junction"]
     assert "vertex 3 lies inside an edge" in str(report)
-
-
-def test_add_blocked_updates_cached_gaps():
-    patch = Patch(GENERIC)
-    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
-    vid = patch.add_vertex(ORIGIN)
-    assert patch.gaps(vid) == (
-        (Direction.of(1, 0), SymbolicAngle(5, 0), pytest.approx(5 * math.pi / 3)),
-    )
-    patch.add_blocked(ORIGIN, Direction.of(1, 0), SymbolicAngle(2, 0))
-    assert patch.gaps(vid) == (
-        (Direction.of(3, 0), SymbolicAngle(3, 0), pytest.approx(math.pi)),
-    )
-    assert patch.star_blocks(vid) == [("word", "T#"), ("gap", SymbolicAngle(3, 0))]
 
 
 @pytest.mark.parametrize("upper_first", [True, False])

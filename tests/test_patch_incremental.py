@@ -1,17 +1,17 @@
 """Differential tests: the incremental state of a Patch against fresh scans.
 
 Random add_tile / pop_tile sequences are run at generic alpha, at pi/2
-and at 110 degrees, on patches that may start with bare vertices and
-blocked sectors.  The candidates are flush against a gap, as the
-completion search places them, or turned into the gap, so that they
-share a vertex but no edge.  After every step the boundary set, the edge
-midpoint index and every cached gap list must equal what a fresh scan
-gives, and every add_tile and add_vertex verdict must equal the
-one of a brute force reference that checks all tiles, edges and
-vertices.  has_tile must find every placed tile from each of its anchors
-and no popped one, a duplicate must be refused, and the incremental disk
-frontier must return what a full scan of the boundary edges returns,
-whether it is called after every step or only now and then.
+and at 110 degrees, on patches that may start with bare vertices.  The
+candidates are flush against a gap, as the completion search places
+them, or turned into the gap, so that they share a vertex but no edge.
+After every step the boundary set, the edge midpoint index and every
+cached gap list must equal what a fresh scan gives, and every add_tile
+and add_vertex verdict must equal the one of a brute force reference
+that checks all tiles, edges and vertices.  has_tile must find every
+placed tile from each of its anchors and no popped one, a duplicate must
+be refused, and the incremental disk frontier must return what a full
+scan of the boundary edges returns, whether it is called after every
+step or only now and then.
 """
 
 import math
@@ -39,8 +39,8 @@ from shieldtiles.patch import (
 from shieldtiles.patterns import _DiskFrontier, _flush_candidates
 from shieldtiles.symbolic import (
     ANGLE_A,
-    ANGLE_B,
     ANGLE_T,
+    HALF_TURN,
     Direction,
     ExactPoint,
     SymbolicAngle,
@@ -99,18 +99,30 @@ def _tile_edges(patch):
     ]
 
 
-def reference_verdict(patch, pl, extras):
+def _anchor_reps(pl):
+    """pl re-anchored at each corner that can anchor it: every corner of a
+    triangle, each A corner of a shield."""
+    pts = pl.corner_points()
+    dirs = pl.corner_dirs()
+    step = 1 if pl.kind == "T" else 2
+    return [Placement(pl.kind, pts[i], dirs[i][1]) for i in range(0, len(pts), step)]
+
+
+def _tile_id(pl):
+    """The kind and exact corner set, which fix a tile whatever its anchor."""
+    return pl.kind, sorted(p.coeffs for p in pl.corner_points())
+
+
+def reference_verdict(patch, pl, bare):
     """The error class add_tile must raise for pl, or None if it must
     accept it.  The checks run in add_tile's order, each one against
-    every tile, edge and vertex of the patch.  extras holds the bare
-    vertices, (exact point, xy), and the blocked sectors, ((exact point,
-    xy), start angle, end angle, "#"), that the patch was given besides
-    its tiles."""
-    bare, blocked = extras
+    every tile, edge and vertex of the patch.  bare holds the bare
+    vertices, (exact point, xy), that the patch was given besides its
+    tiles."""
     old = [_corners(patch, t) for t in patch.tiles]
     new = _corners(patch, pl)
-    points = bare + [b[0] for b in blocked] + [c[0] for cs in old for c in cs]
-    if any(t.canonical() == pl.canonical() for t in patch.tiles):
+    points = bare + [c[0] for cs in old for c in cs]
+    if any(_tile_id(t) == _tile_id(pl) for t in patch.tiles):
         return OverlapError
     n = len(new)
     edges = _tile_edges(patch)
@@ -130,7 +142,7 @@ def reference_verdict(patch, pl, extras):
         a, b = new[i][0][1], new[(i + 1) % n][0][1]
         if any(_strictly_inside(p[1], a, b) for p in points):
             return EdgeMismatchError
-    sectors = blocked + [o for cs in old for o in cs]
+    sectors = [o for cs in old for o in cs]
     for c in new:
         for o in sectors:
             if _same_vertex(patch, c[0], o[0]) and (
@@ -150,20 +162,17 @@ def reference_verdict(patch, pl, extras):
         total = sum(e - s for _p, s, e, _lab in star)
         if total > TWO_PI + 1e-7:
             return OverlapError
-        if abs(total - TWO_PI) < 1e-7 and all(o[3] != "#" for o in star):
+        if abs(total - TWO_PI) < 1e-7:
             word = "".join(lab for _p, _s, _e, lab in sorted(star, key=lambda x: x[1]))
             if canonical_word(word) not in atlas:
                 return AtlasViolation
     return None
 
 
-def reference_vertex_verdict(patch, point, extras):
-    """The error class add_vertex and add_blocked must raise for point."""
-    bare, blocked = extras
+def reference_vertex_verdict(patch, point, bare):
+    """The error class add_vertex must raise for point."""
     p = (point, point.xy(patch.eval_rad))
-    olds = bare + [b[0] for b in blocked] + [
-        c[0] for t in patch.tiles for c in _corners(patch, t)
-    ]
+    olds = bare + [c[0] for t in patch.tiles for c in _corners(patch, t)]
     if any(_same_vertex(patch, p, q) for q in olds):
         return None
     if any(_strictly_inside(p[1], a[1], b[1]) for a, b in _tile_edges(patch)):
@@ -223,9 +232,9 @@ def assert_state_matches_fresh_scan(patch):
 
 def assert_has_tile_answers(patch, popped):
     for t in patch.tiles:
-        assert all(patch.has_tile(r) for r in t.anchor_reps())
+        assert all(patch.has_tile(r) for r in _anchor_reps(t))
     if popped is not None:
-        assert not any(patch.has_tile(r) for r in popped.anchor_reps())
+        assert not any(patch.has_tile(r) for r in _anchor_reps(popped))
 
 
 # edges of the tiles at the center lie at distances sqrt(3)/2 and 1
@@ -258,10 +267,10 @@ def _close(ps, qs):
     )
 
 
-def _rebuilt(patch, extras_spec):
+def _rebuilt(patch, bare_at):
     fresh = Patch(patch.alpha)
     fresh.add_vertex(ORIGIN)
-    _add_extras(fresh, extras_spec)
+    _add_bare(fresh, bare_at)
     for t in patch.tiles:
         fresh.add_tile(t)
     return fresh
@@ -332,32 +341,24 @@ def _inside_edge_point(patch, pick):
     from a corner along the edge that leaves it."""
     t = patch.tiles[pick % len(patch)]
     i = pick % len(t.labels)
-    return t.corner_points()[i] + _short_step(t.corner_dirs()[i][1].opposite())
+    return t.corner_points()[i] + _short_step(t.corner_dirs()[i][1].plus(HALF_TURN))
 
 
-# exact points near the origin for bare vertices and blocked sectors: unit
-# steps at multiples of pi/3 and of pi/3 + alpha, and one rhombus corner
+# exact points near the origin for bare vertices: unit steps at multiples
+# of pi/3 and of pi/3 + alpha, and one rhombus corner
 NEAR_POINTS = [unit_vector(Direction.of(k, 0)) for k in range(6)] + [
     unit_vector(Direction.of(0, 1)),
     unit_vector(Direction.of(1, 1)),
     unit_vector(Direction.of(0, 0)) + unit_vector(Direction.of(1, 0)),
 ]
 
-EXTRAS = st.lists(
-    st.tuples(
-        st.integers(0, len(NEAR_POINTS) - 1),  # where
-        st.integers(0, 3),  # 0: a bare vertex, else a blocked T, A or B sector
-        st.integers(0, 5),  # start direction of the sector
-    ),
-    max_size=3,
-    unique_by=lambda x: x[0],
-)
+BARE_AT = st.lists(st.integers(0, len(NEAR_POINTS) - 1), max_size=3, unique=True)
 
 STEPS = st.lists(
     st.tuples(
         st.integers(0, 2),  # which of the nearest open vertices
         st.integers(0, 2),  # which candidate kind
-        # 0: pop up to three tiles, 1: add_vertex and add_blocked probes,
+        # 0: pop up to three tiles, 1: add_vertex probes,
         # 2: a turned tile, 3: a tile with an edge through a vertex, 4: a
         # tile with a corner inside an edge, otherwise a flush tile
         st.integers(0, 9),
@@ -368,21 +369,19 @@ STEPS = st.lists(
 )
 
 
-def _probe_vertices(patch, pick, extras):
-    """add_vertex and add_blocked at a point inside an edge are refused and
-    change nothing; at a vertex of the patch they return its id."""
+def _probe_vertices(patch, pick, bare):
+    """add_vertex at a point inside an edge is refused and changes nothing;
+    at a vertex of the patch it returns its id."""
     nverts = len(patch.vertex_ids())
     if len(patch):
         point = _inside_edge_point(patch, pick)
-        assert reference_vertex_verdict(patch, point, extras) is EdgeMismatchError
+        assert reference_vertex_verdict(patch, point, bare) is EdgeMismatchError
         with pytest.raises(EdgeMismatchError):
             patch.add_vertex(point)
-        with pytest.raises(EdgeMismatchError):
-            patch.add_blocked(point, Direction.of(0, 0), ANGLE_T)
         assert len(patch.vertex_ids()) == nverts
         t = patch.tiles[pick % len(patch)]
         corner = t.corner_points()[pick % len(t.labels)]
-        assert reference_vertex_verdict(patch, corner, extras) is None
+        assert reference_vertex_verdict(patch, corner, bare) is None
         # at numeric alpha one vertex may have several exact spellings
         vx, vy = patch.vertex_xy(patch.add_vertex(corner))
         x, y = corner.xy(patch.eval_rad)
@@ -390,34 +389,26 @@ def _probe_vertices(patch, pick, extras):
         assert len(patch.vertex_ids()) == nverts
 
 
-def _add_extras(patch, extras_spec):
-    """Bare vertices and blocked sectors, before any tile."""
-    bare, blocked = [], []
-    for where, kind, k in extras_spec:
+def _add_bare(patch, bare_at):
+    """Bare vertices, before any tile, as (exact point, xy)."""
+    bare = []
+    for where in bare_at:
         point = NEAR_POINTS[where]
-        xy = point.xy(patch.eval_rad)
-        if kind == 0:
-            patch.add_vertex(point)
-            bare.append((point, xy))
-            continue
-        start, ang = Direction.of(k, 0), (ANGLE_T, ANGLE_A, ANGLE_B)[kind - 1]
-        patch.add_blocked(point, start, ang)
-        s = start.value(patch.eval_rad)
-        blocked.append(((point, xy), s, s + ang.value(patch.eval_rad), "#"))
-    return bare, blocked
+        patch.add_vertex(point)
+        bare.append((point, point.xy(patch.eval_rad)))
+    return bare
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]),
-    extras_spec=EXTRAS,
+    bare_at=BARE_AT,
     steps=STEPS,
 )
-def test_incremental_state_and_verdicts_match_brute_force(alpha, extras_spec, steps):
+def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps):
     patch = Patch(alpha)
     patch.add_vertex(ORIGIN)
-    bare, blocked = _add_extras(patch, extras_spec)
-    extras = ([(ORIGIN, patch.vertex_xy(0))] + bare, blocked)
+    bare = [(ORIGIN, patch.vertex_xy(0))] + _add_bare(patch, bare_at)
     every_step = _frontiers(patch)
     now_and_then = None  # made once two tiles are placed
     for pick, which, op, call in steps:
@@ -427,7 +418,7 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, extras_spec, st
                 popped = patch.tiles[-1]
                 patch.pop_tile()
         elif op == 1:
-            _probe_vertices(patch, pick, extras)
+            _probe_vertices(patch, pick, bare)
         else:
             if op == 2:
                 cand = _turned_candidate(patch, pick, which)
@@ -437,7 +428,7 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, extras_spec, st
                 cand = _stuck_candidate(patch, pick, which)
             else:
                 cand = _next_candidate(patch, pick, which)
-            want = reference_verdict(patch, cand, extras)
+            want = reference_verdict(patch, cand, bare)
             try:
                 patch.add_tile(cand)
                 got = None
@@ -453,10 +444,10 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, extras_spec, st
         elif now_and_then is not None and call == 0:
             assert_frontiers_match_full_scan(patch, now_and_then)
         if len(patch):
-            twin = patch.tiles[pick % len(patch)].anchor_reps()[-1]
+            twin = _anchor_reps(patch.tiles[pick % len(patch)])[-1]
             with pytest.raises(OverlapError):
                 patch.add_tile(twin)
-    fresh = _rebuilt(patch, extras_spec)
+    fresh = _rebuilt(patch, bare_at)
     assert list(fresh.vertex_ids()) == list(patch.vertex_ids())
     for vid in patch.vertex_ids():
         assert fresh.gaps(vid) == patch.gaps(vid)
@@ -514,8 +505,6 @@ def test_bare_vertex_strictly_inside_an_edge_refused(alpha):
     assert abs(y) < 1e-12 and 0.5 < x < 1.0 - 1e-3
     with pytest.raises(EdgeMismatchError):
         patch.add_vertex(point)
-    with pytest.raises(EdgeMismatchError):
-        patch.add_blocked(point, Direction.of(3, 0), ANGLE_T)
     assert len(patch.vertex_ids()) == 3
     assert patch.validate().ok
     # the same point is accepted once the edge is gone

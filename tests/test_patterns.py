@@ -8,21 +8,23 @@ import pytest
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import LABEL_ANGLES, atlas_configs, atlas_words
 from shieldtiles.errors import AtlasViolation, BudgetExceeded
+from shieldtiles.generators import DodecagonChoice, gen_dodecagon_tiling
 from shieldtiles.patch import Patch, Placement, _star_word
 from shieldtiles.patterns import (
+    DODECA_CIRCUM,
+    ORIGIN,
     NodeBudget,
     _Search,
     complete_ball,
     count_patterns,
     dodecagon_cells_inside,
     dodecagon_fillings,
-    dodecagon_patch,
     entropy_bound,
+    fill_disk,
     gap_feasible,
     star_completable,
 )
 from shieldtiles.symbolic import (
-    ANGLE_T,
     FULL_TURN,
     Direction,
     ExactPoint,
@@ -176,16 +178,15 @@ def _match_tail(cyc, ci, w, pos, alpha) -> bool:
 
 
 def test_star_completable_agrees_with_the_partial_star_matcher(monkeypatch):
-    # the matcher was asked only about stars with a gap and no blocked
-    # sector: compare on every such star at a vertex the searches touch
+    # the matcher was asked only about stars with a gap: compare on every
+    # such star at a vertex the searches touch
     outcomes = Counter()
     prune = _Search._prune
 
     def checked(self, cand, vids):
         p = self.patch
         for v in set(vids):
-            blocked = any(iv[4] is None for iv in p._vertices[v].intervals)
-            if blocked or not p.gaps(v):
+            if not p.gaps(v):
                 continue
             blocks = p.star_blocks(v)
             got = star_completable(blocks, p.alpha)
@@ -228,18 +229,6 @@ def test_star_completable_agrees_with_the_matcher_on_two_gap_stars(alpha):
     assert outcomes[True, True] and outcomes[True, False]
 
 
-def test_prune_checks_the_gaps_of_a_blocked_vertex():
-    # two triangles side by side in a corner of the dodecagon leave 150 - 120
-    # = 30 degrees there, which no corner fills
-    patch = dodecagon_patch()
-    search = _Search(patch=patch, frontier=None, budget=NodeBudget(0))
-    corner = ExactPoint.origin()
-    ((d, _sym, _rad),) = patch.gaps(0)
-    for heading, ok in ((d, True), (d.plus(ANGLE_T), False)):
-        t = Placement("T", corner, heading)
-        assert search._prune(t, patch.add_tile(t)) == ok
-
-
 @pytest.mark.parametrize("n, alpha, nodes", [(0.6, RIGHT, 99), (1.0, GENERIC, 318)])
 def test_search_nodes_pinned(n, alpha, nodes):
     # each center star is searched once up to isometry, and its own tiles
@@ -256,7 +245,49 @@ def test_dodecagon_fillings_exactly_three():
         assert kinds == ["S"] * 4 + ["T"] * 4
 
 
+def _shape(tiles) -> frozenset:
+    """Tiles as (kind, sorted corners rounded to 9 decimals)."""
+    rad = RIGHT.eval_radians()
+    return frozenset(
+        (t.kind, tuple(sorted((round(x, 9) + 0.0, round(y, 9) + 0.0)
+                              for x, y in t.corner_xy(rad))))
+        for t in tiles
+    )
+
+
+@pytest.mark.parametrize("j", range(3))
+def test_no_other_dodecagon_filling(j):
+    """Every filling of the dodecagon, searched inside a collar: the
+    packing window of filling j at extent 6 without the 8 tiles of cell
+    (0, 0).  The collar refuses no filling.  A rim vertex of the cell
+    holds a triangle of the collar and two 150-degree corners, one from
+    each dodecagon, each filled by B or A + T; every such count solves
+    the vertex equation at pi/2.
+
+    The disk is centred at the cell's corner at the origin, a vertex of the
+    collar, and reaches across the cell: the search adds no bare vertex,
+    which would refuse a tile edge through it.  Outside the cell the disk
+    meets only closed collar vertices.
+    """
+    window = gen_dodecagon_tiling(DodecagonChoice.constant(j), 6)
+    cell = set(dodecagon_fillings()[j].tiles)
+    patch = Patch(RIGHT)
+    for t in window.tiles:
+        if t not in cell:
+            patch.add_tile(t)
+    assert len(window) - len(patch) == 8
+    collar, vertices = len(patch), len(patch.vertex_ids())
+    corner = patch.add_vertex(ORIGIN)
+    assert len(patch.vertex_ids()) == vertices  # no vertex was made
+    found = []
+    fill_disk(patch, corner, 2 * DODECA_CIRCUM + 1e-3,
+              on_solution=lambda p: found.append(_shape(p.tiles[collar:])))
+    assert len(found) == 3
+    assert set(found) == {_shape(p.tiles) for p in dodecagon_fillings()}
+
+
 def test_dodecagon_fillings_are_searched_once_and_frozen():
+    # built once; every call returns the same patches
     fillings = dodecagon_fillings()
     assert isinstance(fillings, tuple) and dodecagon_fillings() is fillings
     for p in fillings:
@@ -296,11 +327,6 @@ def test_dodecagon_filling_indices_are_stable():
                 my = sum(y for _, y in pts) / 3 - cy
                 turns.add(round(math.degrees(math.atan2(my, mx)) + 30 * k) % 90)
         assert turns == {0}
-
-
-def test_dodecagon_boundary_patch_has_no_tiles():
-    patch = dodecagon_patch()
-    assert len(patch) == 0
 
 
 def test_entropy_zero_below_diameter():

@@ -69,7 +69,6 @@ def test_direction_plus_minus(d, ang):
     # minus recovers the angle up to full turns of pi/3 wrap
     assert (diff - ang).b == 0
     assert (diff - ang).a % 6 == 0
-    assert d.opposite().opposite() == d
 
 
 @given(points, directions)
