@@ -22,10 +22,12 @@ from .patterns import (
     packing_cells,
 )
 from .symbolic import (
+    ANGLE_T,
     Direction,
     ExactPoint,
     SymbolicAngle,
     lattice_points,
+    same_angle,
     unit_vector,
 )
 
@@ -53,12 +55,11 @@ def hex_lattice_vector(k: int) -> ExactPoint:
 
 def _fill_unit_gaps(patch: Patch):
     """Place the forced triangle wherever an angular gap is exactly pi/3."""
-    third = math.pi / 3.0
     while True:
         progress = False
         for vid in list(patch.vertex_ids()):
-            for (d, _sym, gn) in patch.gaps(vid):
-                if abs(gn - third) < 1e-9:
+            for (d, sym, _gn) in patch.gaps(vid):
+                if same_angle(sym, ANGLE_T, patch.alpha):
                     try:
                         patch.add_tile(Placement("T", patch.vertex_point(vid), d))
                         progress = True
@@ -150,17 +151,13 @@ def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
         for v in set(vids):
             if v in whitelist:
                 continue
-            t_corners = sum(
-                1 for iv in p._vertices[v].intervals if iv[5] == "T"
-            )
+            t_corners = sum(1 for t in p.tiles_at(v) if p.tiles[t].kind == "T")
             if t_corners >= 3:
                 return False
         return True
 
     center_vid = patch.add_vertex(ORIGIN)
-    done = fill_disk(
-        patch, center_vid, extent + 0.5, tile_filter=no_stray_hex, first_only=True
-    )
+    done = fill_disk(patch, center_vid, extent + 0.5, tile_filter=no_stray_hex)
     if not done:
         raise ShieldError("triangle tiling window completion failed")
     patch.require_valid()

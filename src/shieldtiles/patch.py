@@ -515,7 +515,9 @@ class Patch:
         """Register a bare vertex (a center with no tiles yet).
 
         Raises EdgeMismatchError if the point is not a vertex yet and lies
-        strictly inside an edge."""
+        strictly inside an edge, and ValueError on a frozen patch."""
+        if self._frozen:
+            raise ValueError("patch is frozen")
         xy = point.xy(self.eval_rad)
         vid = self._find_vid(xy, point)
         if vid is not None:

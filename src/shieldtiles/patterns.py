@@ -79,22 +79,24 @@ class _Search:
     """Shared state for one depth-first completion run.
 
     Every completion closes the star of each vertex within must_close of
-    the frontier's center.
+    the frontier's center.  The search reports each tile it places and
+    takes back to the frontier, and no one else adds or pops tiles while
+    it runs.
     """
 
     patch: Patch
-    frontier: object  # () -> nearest (dist2, vid), or None when complete
+    frontier: _DiskFrontier
     budget: NodeBudget
     must_close: float
     tile_filter: object = None
     on_solution: object = None
-    first_only: bool = False
 
     def run(self) -> bool | set[int] | None:
-        """Search every completion of the patch as it stands.
+        """Search the completions of the patch as it stands.
 
-        Returns True when first_only has found a completion, and leaves the
-        patch in it.  Otherwise the patch is restored, and the result is
+        Without on_solution the search stops at the first completion,
+        leaves the patch in it and returns True; with it every completion
+        is visited.  Otherwise the patch is restored, and the result is
         None when a completion was found below, else the blame: indices of
         placed tiles that no completion holds all together.
 
@@ -124,9 +126,10 @@ class _Search:
         p = self.patch
         nearest = self.frontier()
         if nearest is None:
-            if self.on_solution is not None:
-                self.on_solution(p)
-            return True if self.first_only else None
+            if self.on_solution is None:
+                return True
+            self.on_solution(p)
+            return None
         d2, vid = nearest
         start_dir, _sym, _gn = min(
             p.gaps(vid), key=lambda g: g[0].value(p.eval_rad) % (2 * math.pi)
@@ -147,10 +150,12 @@ class _Search:
                 p.pop_tile()
                 refused.append(cand)
                 continue
+            self.frontier.add(vids)
             sub = self.run()
             if sub is True:
                 return True
             p.pop_tile()
+            self.frontier.pop()
             if sub is None:
                 found = True
             elif me not in sub:
@@ -186,34 +191,25 @@ class _DiskFrontier:
     Calling it returns (dist2, vid), or None when no boundary edge meets
     the disk.  It holds, for each vertex, how many boundary edges at that
     vertex meet the disk.  The counts are scanned from
-    patch.boundary_edges() once; each call then brings them up to date
-    with the tiles added and popped since the last one, whoever added or
-    popped them.  A tile brings in each of its edges that no earlier tile
-    holds (+1 at both ends if the edge meets the disk) and closes the
-    others (-1); popping it undoes that.  The frontier keeps the patch's
-    undo stack as it last saw it.  add_tile makes a fresh Patch._undo
-    entry on every call, so the two stacks agree up to the highest entry
-    that is the same object in both; the tiles above it were popped or
-    added since.  A pop below the tiles present at the scan makes a new
-    scan.
+    patch.boundary_edges() once; after that the search that owns it
+    reports each tile just added (add) and each pop (pop), last in, first
+    out.  An edge
+    of an added tile that meets the disk and is now a boundary edge was
+    brought in by the tile (+1 at both ends); any other such edge was
+    closed by it (-1).  A pop undoes the latest add.
     """
 
     def __init__(self, patch: Patch, center_xy, radius: float):
         self.patch = patch
         self.cx, self.cy = center_xy
         self.radius = radius
-        self._scan()
-
-    def _scan(self):
-        p = self.patch
+        self.boundary = patch.boundary_edges()  # live view
         self.counts = {}  # vid -> boundary edges at it that meet the disk
-        for u, v in p.boundary_edges():
+        for u, v in self.boundary:
             if self._meets(u, v):
                 self._bump(u, 1)
                 self._bump(v, 1)
-        self.entries = list(p._undo)  # the patch's undo stack as last seen
-        self.base = len(self.entries)  # tiles the scan covers
-        self.changes = []  # ((u, v, +-1), ...) of each entry past base
+        self.changes = []  # ((u, v, +-1), ...) per reported tile
 
     def _meets(self, u, v) -> bool:
         p = self.patch
@@ -228,38 +224,27 @@ class _DiskFrontier:
         else:
             del self.counts[w]
 
-    def _sync(self):
-        p = self.patch
-        undo, seen, base = p._undo, self.entries, self.base
-        k = min(len(seen), len(undo))
-        while k and seen[k - 1] is not undo[k - 1]:
-            k -= 1
-        if k < base:
-            self._scan()
-            return
-        for changes in reversed(self.changes[k - base:]):
-            for u, v, step in changes:
-                self._bump(u, -step)
-                self._bump(v, -step)
-        del seen[k:], self.changes[k - base:]
-        for tidx in range(k, len(undo)):
-            vids = p._tile_vids[tidx]
-            changes = []
-            n = len(vids)
-            for i in range(n):
-                u, v = vids[i], vids[(i + 1) % n]
-                if self._meets(u, v):
-                    # edge tile lists are in placement order
-                    ts = p._edges[(u, v) if u < v else (v, u)]
-                    step = 1 if ts[0] == tidx else -1
-                    self._bump(u, step)
-                    self._bump(v, step)
-                    changes.append((u, v, step))
-            seen.append(undo[tidx])
-            self.changes.append(tuple(changes))
+    def add(self, vids):
+        """Count in the tile that add_tile has just placed at vids."""
+        changes = []
+        n = len(vids)
+        for i in range(n):
+            u, v = vids[i], vids[(i + 1) % n]
+            if self._meets(u, v):
+                ek = (u, v) if u < v else (v, u)
+                step = 1 if ek in self.boundary else -1
+                self._bump(u, step)
+                self._bump(v, step)
+                changes.append((u, v, step))
+        self.changes.append(changes)
+
+    def pop(self):
+        """Undo the latest add, once its tile is popped."""
+        for u, v, step in self.changes.pop():
+            self._bump(u, -step)
+            self._bump(v, -step)
 
     def __call__(self):
-        self._sync()
         p = self.patch
         best = None
         # only a vertex nearer than the best so far has its gaps looked up
@@ -279,15 +264,15 @@ def fill_disk(
     budget: int | NodeBudget = DEFAULT_BUDGET,
     tile_filter=None,
     on_solution=None,
-    first_only: bool = False,
 ) -> bool:
-    """DFS over all completions until no boundary edge meets the disk.
+    """DFS over the completions until no boundary edge meets the disk.
 
     Each end of a boundary edge has an open gap (a closed star has a
     second tile on each of its edges), so an empty frontier means the disk
-    is complete.  With first_only the patch is left in the first completed
-    state found and True is returned; otherwise on_solution is invoked on
-    every completion, the patch is restored and False is returned.  budget
+    is complete.  Without on_solution the search stops at the first
+    completion, leaves the patch in it and returns True, or returns False
+    with the patch restored.  With on_solution it is invoked on every
+    completion, the patch is restored and False is returned.  budget
     is a node count, or a NodeBudget shared with other searches.
     tile_filter (patch, placement, vids) -> bool may refuse a placed tile;
     it must look only at tiles touching it, and refuse whatever it refused
@@ -304,7 +289,6 @@ def fill_disk(
         budget=_as_budget(budget),
         tile_filter=tile_filter,
         on_solution=on_solution,
-        first_only=first_only,
         must_close=radius + GEOM_TOL / 2,
     )
     return s.run() is True
@@ -339,8 +323,9 @@ def complete_ball(
        Each completion yields its ball, keyed by canonical_key: every tile
        is coded by its kind and its corner set, which fixes a convex tile
        whatever its anchor.
-    2. For each new key, one first_only search out to n + margin, started
-       from the ball's tiles, decides whether the ball extends.  Only balls
+    2. For each new key, one search out to n + margin, started from the
+       ball's tiles and stopped at its first completion, decides whether
+       the ball extends.  Only balls
        that extend are kept.
 
     This gives the same balls as listing every completion of the
@@ -382,7 +367,7 @@ def complete_ball(
                 key = ball.key()
                 if key in found or key in refuted:
                     continue
-                if search(ball.tiles, n + margin, first_only=True):
+                if search(ball.tiles, n + margin):
                     found[key] = ball
                 else:
                     refuted.add(key)
@@ -488,7 +473,7 @@ def is_config_extendable(
     for t in star_placements(config.word, ORIGIN):
         patch.add_tile(t)
     try:
-        if fill_disk(patch, vid, float(depth), first_only=True):
+        if fill_disk(patch, vid, float(depth)):
             patch.freeze()
             return ExtendableWitness(patch)
     except BudgetExceeded:

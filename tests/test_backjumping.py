@@ -43,7 +43,7 @@ class _Chronological(_Search):
         if nearest is None:
             if self.on_solution is not None:
                 self.on_solution(self.patch)
-            return self.first_only
+            return self.on_solution is None
         _d, vid = nearest
         gaps = self.patch.gaps(vid)
         start_dir, _sym, _gn = min(
@@ -56,10 +56,14 @@ class _Chronological(_Search):
                 vids = self.patch.add_tile(cand)
             except ShieldError:
                 continue
-            ok = self._prune(cand, vids)
-            if ok and self.run():
+            if not self._prune(cand, vids):
+                self.patch.pop_tile()
+                continue
+            self.frontier.add(vids)
+            if self.run():
                 return True
             self.patch.pop_tile()
+            self.frontier.pop()
         return False
 
 
@@ -170,7 +174,7 @@ def dead_seeds():
 
 
 @pytest.mark.parametrize("search_cls", [_Search, _Chronological])
-def test_first_only_from_a_dead_seed_restores_it(dead_seeds, search_cls):
+def test_first_completion_from_a_dead_seed_restores_it(dead_seeds, search_cls):
     for ball in dead_seeds:
         patch = Patch(RIGHT)
         center = patch.add_vertex(ball.center)
@@ -183,7 +187,7 @@ def test_first_only_from_a_dead_seed_restores_it(dead_seeds, search_cls):
 
         before = state()
         done, _seen, nodes = _traced(
-            lambda: fill_disk(patch, center, 2.0, first_only=True), search_cls
+            lambda: fill_disk(patch, center, 2.0), search_cls
         )
         assert done is False and nodes > 0
         assert state() == before
@@ -202,7 +206,8 @@ def test_triangle_windows_up_to_order_five(alpha, order):
 
 
 def test_triangle_window_is_the_first_chronological_completion():
-    # first_only stops at the same completion, placed in the same order
+    # both searches stop at the same first completion, placed in the same
+    # order
     def job():
         return gen_triangle_tiling(4, 8, DECIMAL).tiles
 

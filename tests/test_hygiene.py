@@ -1,13 +1,16 @@
-"""Source hygiene: every imported name is used by its module, and every
-definition under src/ is read somewhere in src/."""
+"""Source hygiene: every imported name is used by its module, every
+definition under src/ is read somewhere in src/, and every name that the
+traced benchmark wraps exists."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shieldtiles"
 SCANNED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # definitions that no module of the package reads, with their readers
 READ_OUTSIDE = {
@@ -129,3 +132,43 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def _module_lists(path, names) -> dict:
+    """The literal values of the module-level assignments to names."""
+    tree = ast.parse(path.read_text())
+    return {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id in names
+    }
+
+
+def _resolve(module: str, attr_path: str):
+    obj = importlib.import_module(f"shieldtiles.{module}")
+    for attr in attr_path.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_traced_benchmark_names_resolve():
+    # the traced benchmark run wraps these names; a rename would otherwise
+    # show only when that run fails
+    lists = _module_lists(SPANS, {"SPAN_BINDINGS", "COUNT_BINDINGS"})
+    spans, counts = lists["SPAN_BINDINGS"], lists["COUNT_BINDINGS"]
+    assert len(spans) >= 20 and len(counts) >= 3
+    targets = [(module, path) for _name, module, path, *_flags in spans]
+    targets += [tuple(name.split(".", 1)) for name in counts]
+    missing = []
+    for module, path in targets:
+        try:
+            ok = callable(_resolve(module, path))
+        except (ImportError, AttributeError):
+            ok = False
+        if not ok:
+            missing.append(f"{module}.{path}")
+    assert missing == []
+    # the benchmark child reports the kernel in use
+    assert isinstance(_resolve("geomkernel", "IMPL"), str)

@@ -214,7 +214,7 @@ def _grown_ball(alpha, n=1.0) -> PatternBall:
     ABTT is chiral, so no rotation maps the ball onto its mirror image."""
     patch = bowtie_star(alpha, "ABTT")
     vid = patch.add_vertex(ORIGIN)
-    assert fill_disk(patch, vid, n, first_only=True)
+    assert fill_disk(patch, vid, n)
     return patch.extract_ball(vid, n)
 
 

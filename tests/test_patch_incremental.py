@@ -9,9 +9,9 @@ cached gap list must equal what a fresh scan gives, and every add_tile
 and add_vertex verdict must equal the one of a brute force reference
 that checks all tiles, edges and vertices.  has_tile must find every
 placed tile from each of its anchors and no popped one, a duplicate must
-be refused, and the incremental disk frontier must return what a full
-scan of the boundary edges returns, whether it is called after every
-step or only now and then.
+be refused, and the incremental disk frontier, told of each add and pop,
+must return what a full scan of the boundary edges returns, whether it
+is called after every step or only now and then.
 """
 
 import math
@@ -260,6 +260,11 @@ def _frontiers(patch):
     return [_DiskFrontier(patch, patch.vertex_xy(0), r) for r in RADII]
 
 
+def _followers(*groups):
+    """The frontiers of the groups that exist, to report adds and pops to."""
+    return [f for g in groups if g is not None for f in g]
+
+
 def _close(ps, qs):
     return all(
         abs(px - qx) < GEOM_TOL and abs(py - qy) < GEOM_TOL
@@ -410,13 +415,19 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
     patch.add_vertex(ORIGIN)
     bare = [(ORIGIN, patch.vertex_xy(0))] + _add_bare(patch, bare_at)
     every_step = _frontiers(patch)
-    now_and_then = None  # made once two tiles are placed
+    # made once two tiles are placed, and made again after a pop below them
+    now_and_then, made_at = None, 0
     for pick, which, op, call in steps:
         popped = None
         if op == 0 and len(patch):
-            for _ in range(min(pick + 1, len(patch))):
+            count = min(pick + 1, len(patch))
+            if len(patch) - count < made_at:
+                now_and_then, made_at = None, 0
+            for _ in range(count):
                 popped = patch.tiles[-1]
                 patch.pop_tile()
+                for f in _followers(every_step, now_and_then):
+                    f.pop()
         elif op == 1:
             _probe_vertices(patch, pick, bare)
         else:
@@ -430,17 +441,20 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
                 cand = _next_candidate(patch, pick, which)
             want = reference_verdict(patch, cand, bare)
             try:
-                patch.add_tile(cand)
+                vids = patch.add_tile(cand)
                 got = None
             except ShieldError as exc:
                 got = type(exc)
             assert got is want
+            if got is None:
+                for f in _followers(every_step, now_and_then):
+                    f.add(vids)
         assert_state_matches_fresh_scan(patch)
         assert patch.validate().ok
         assert_has_tile_answers(patch, popped)
         assert_frontiers_match_full_scan(patch, every_step)
         if now_and_then is None and len(patch) >= 2:
-            now_and_then = _frontiers(patch)
+            now_and_then, made_at = _frontiers(patch), len(patch)
         elif now_and_then is not None and call == 0:
             assert_frontiers_match_full_scan(patch, now_and_then)
         if len(patch):
@@ -459,38 +473,45 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
     "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
 )
 def test_frontier_follows_pops_and_adds_between_calls(alpha):
-    """Several pops, then adds, between two calls; then pops below the
-    tiles that were there when the frontier was made."""
+    """Several reported pops, then adds, between two calls; then pops back
+    to the tiles that were there when the frontier was made."""
     patch = Patch(alpha)
     patch.add_vertex(ORIGIN)
     _grow(patch, 4, 0)
     frontiers = _frontiers(patch)
     assert_frontiers_match_full_scan(patch, frontiers)
-    _grow(patch, 12, 0)
+    _grow(patch, 12, 0, frontiers)
     assert len(patch) == 16
     assert_frontiers_match_full_scan(patch, frontiers)
-    for _ in range(5):
-        patch.pop_tile()
-    _grow(patch, 3, 1)
+    _pop(patch, 5, frontiers)
+    _grow(patch, 3, 1, frontiers)
     assert_frontiers_match_full_scan(patch, frontiers)
-    while len(patch) > 2:
-        patch.pop_tile()
-    _grow(patch, 2, 2)
+    _pop(patch, len(patch) - 4, frontiers)
+    _grow(patch, 2, 2, frontiers)
     assert_frontiers_match_full_scan(patch, frontiers)
 
 
-def _grow(patch, steps, offset):
+def _grow(patch, steps, offset, frontiers=()):
     """Place steps tiles, each the first candidate that fits at one of
-    the nearest open vertices."""
+    the nearest open vertices, and report each to the frontiers."""
     for pick in range(steps):
         for which in range(3):
             try:
-                patch.add_tile(_next_candidate(patch, pick + offset, which))
+                vids = patch.add_tile(_next_candidate(patch, pick + offset, which))
                 break
             except ShieldError:
                 pass
         else:
             raise AssertionError("no candidate fits")
+        for f in frontiers:
+            f.add(vids)
+
+
+def _pop(patch, count, frontiers):
+    for _ in range(count):
+        patch.pop_tile()
+        for f in frontiers:
+            f.pop()
 
 
 @pytest.mark.parametrize(

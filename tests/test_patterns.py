@@ -295,6 +295,15 @@ def test_dodecagon_fillings_are_searched_once_and_frozen():
             p.pop_tile()
 
 
+def test_frozen_filling_refuses_a_new_vertex():
+    # the fillings are shared: a vertex added to one would outlive the call
+    filling = dodecagon_fillings()[0]
+    assert len(filling.vertex_ids()) == 17
+    with pytest.raises(ValueError, match="frozen"):
+        filling.add_vertex(ExactPoint.from_dict({0: (9, 0)}))
+    assert len(filling.vertex_ids()) == 17
+
+
 def test_dodecagon_fillings_are_rotations_of_one_shape():
     # distinct as fillings of a fixed dodecagon, but pairwise isometric
     from shieldtiles.patch import PatternBall
