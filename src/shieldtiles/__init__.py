@@ -20,7 +20,8 @@ from .generators import (
     gen_line_tiling,
     gen_triangle_tiling,
 )
-from .patch import Patch, Placement
+from .patch import Patch
+from .placement import Placement
 from .patterns import (
     complete_ball,
     count_patterns,

@@ -67,12 +67,11 @@ def fault_lines(patch: Patch) -> list[FaultLine]:
     words = [patch.interior_word(v) for v in patch.vertex_ids()]
     # tile kind -> vertex -> far end of its edge between two tiles of that kind
     spine: dict[str, dict[int, int]] = {"S": {}, "T": {}}
-    for (u, w), ts in patch._edges.items():
-        if len(ts) == 2:
-            kind = patch.tiles[ts[0]].kind
-            if patch.tiles[ts[1]].kind == kind:
-                spine[kind][u] = w
-                spine[kind][w] = u
+    for (u, w), (s, t) in patch.shared_edges():
+        kind = patch.tiles[s].kind
+        if patch.tiles[t].kind == kind:
+            spine[kind][u] = w
+            spine[kind][w] = u
 
     def walk(v: int, kind: str):
         chain = []
@@ -171,14 +170,12 @@ def _tip_adjacency(patch: Patch, cents):
     """Shield pairs sharing a vertex but no edge (tip-to-tip junctions),
     grouped by the undirected direction of the center-to-center segment."""
     vert_tiles: dict[int, list[int]] = defaultdict(list)
-    for tid, vids in enumerate(patch._tile_vids):
-        if patch.tiles[tid].kind != "S":
+    for tid, t in enumerate(patch.tiles):
+        if t.kind != "S":
             continue
-        for v in set(vids):
+        for v in patch.tile_vertices(tid):
             vert_tiles[v].append(tid)
-    edge_pairs = {
-        frozenset(ts) for ts in patch._edges.values() if len(ts) == 2
-    }
+    edge_pairs = {frozenset(ts) for _ek, ts in patch.shared_edges()}
     by_axis: dict[float, list[tuple[int, int]]] = defaultdict(list)
     for tids in vert_tiles.values():
         for i in range(len(tids)):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .alpha import AlphaSpec
 from .errors import MissingChoice, ShieldError
-from .patch import Patch, Placement
+from .patch import Patch
+from .placement import Placement
 from .patterns import (
     DODECA_CIRCUM,
     RIGHT,
@@ -79,34 +80,46 @@ def gen_line_tiling(word: str, extent: int, alpha: AlphaSpec) -> Patch:
         raise ValueError("orientation word must be a non-empty string of + and -")
     if extent < 1:
         raise ValueError("extent must be >= 1")
-    patch = Patch(alpha)
+    shields = []
     base = ORIGIN
     for i, sign in enumerate(word):
         for k in range(-extent, extent + 1):
-            patch.add_tile(
+            shields.append(
                 Placement("S", base + LINE_PERIOD.scaled(k), LINE_HEADING[sign])
             )
         if i + 1 < len(word):
             base = base + STACK_OFFSET[(sign, word[i + 1])]
+    patch = Patch.from_tiles(alpha, shields)
     _fill_unit_gaps(patch)
     patch.require_valid()
     patch.freeze()
     return patch
 
 
-def _seed_hex(patch: Patch, center: ExactPoint, with_ring: bool):
-    for j in range(6):
-        t = Placement("T", center, Direction.of(j, 0))
-        if not patch.has_tile(t):
-            patch.add_tile(t)
-    if not with_ring:
-        return
-    for j in range(6):
-        s = Placement(
-            "S", center + unit_vector(Direction.of(j, 0)), Direction.of(4 + j, 0)
-        )
-        if not patch.has_tile(s):
-            patch.add_tile(s)
+def _hex_seeds(centers, with_ring: bool) -> list[Placement]:
+    """The six triangles of a hex at each center, and with_ring the six
+    shields around it, center by center.  Neighbouring hexes share tiles;
+    each tile is listed once, where it first comes, known by its kind and
+    exact corner set."""
+    out = []
+    seen = set()
+
+    def put(pl: Placement):
+        key = (pl.kind, frozenset(pl.corner_points()))
+        if key not in seen:
+            seen.add(key)
+            out.append(pl)
+
+    for center in centers:
+        for j in range(6):
+            put(Placement("T", center, Direction.of(j, 0)))
+        if with_ring:
+            for j in range(6):
+                put(Placement(
+                    "S", center + unit_vector(Direction.of(j, 0)),
+                    Direction.of(4 + j, 0),
+                ))
+    return out
 
 
 def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
@@ -122,29 +135,26 @@ def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
         order = 2 * extent + 1
     if not isinstance(order, int) or order < 0:
         raise ValueError("order must be a non-negative integer or math.inf")
-    patch = Patch(alpha)
+    rad = alpha.eval_radians()
     if order == 0:
         reach = extent + 2.0
         m = int(reach) + 2
-        rad = patch.eval_rad
+        centers = []
         for u in range(-m, m + 1):
             for v in range(-m, m + 1):
                 c = EP({0: (u, v)})
                 x, y = c.xy(rad)
                 if math.hypot(x, y) <= reach:
-                    _seed_hex(patch, c, with_ring=False)
-        patch.require_valid()
+                    centers.append(c)
+        patch = Patch.from_tiles(alpha, _hex_seeds(centers, with_ring=False))
         patch.freeze()
         return patch
 
     v1 = hex_lattice_vector(order)
     v2 = v1.rotated(SymbolicAngle(1, 0))
-    rad = patch.eval_rad
-    centers = lattice_points(v1, v2, extent + 3.0, rad)
-    whitelist = set()
-    for _i, _j, c in centers:
-        _seed_hex(patch, c, with_ring=True)
-        whitelist.add(patch.add_vertex(c))
+    centers = [c for _i, _j, c in lattice_points(v1, v2, extent + 3.0, rad)]
+    patch = Patch.from_tiles(alpha, _hex_seeds(centers, with_ring=True))
+    whitelist = {patch.add_vertex(c) for c in centers}
 
     def no_stray_hex(p: Patch, _cand, vids) -> bool:
         # three or more triangle corners at a vertex force a hex there
@@ -193,11 +203,12 @@ def gen_dodecagon_tiling(choice: DodecagonChoice, extent: int) -> Patch:
     if extent < 1:
         raise ValueError("extent must be >= 1")
     fillings = dodecagon_fillings()
-    patch = Patch(RIGHT)
-    for i, j, base in packing_cells(extent + DODECA_CIRCUM):
-        idx = choice.index_for((i, j))
-        for t in fillings[idx].tiles:
-            patch.add_tile(t.translated(base))
+    cells = [
+        t.translated(base)
+        for i, j, base in packing_cells(extent + DODECA_CIRCUM)
+        for t in fillings[choice.index_for((i, j))].tiles
+    ]
+    patch = Patch.from_tiles(RIGHT, cells)
     _fill_unit_gaps(patch)
     patch.require_valid()
     patch.freeze()

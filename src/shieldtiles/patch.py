@@ -13,22 +13,30 @@ midpoint; edges are hashed by the unit cell of their midpoint.  Two tiles
 can overlap only if their bounding discs meet.  The set of boundary edges
 and the gaps at each vertex are kept up to date as tiles come and go.
 
-No vertex lies strictly inside an edge: every way of adding a vertex or
-an edge refuses to break that.  add_tile leans on it to test only what a
-tile changes: new corners against edges, new edges against vertices, and
-polygon overlap only against nearby tiles that share no vertex with the
-new tile (see add_tile).  validate() re-checks everything in full.
+Tiles come in two ways, under one placement rule:
+
+- add_tile checks one tile against the patch, then places it.  No vertex
+  lies strictly inside an edge (add_vertex and add_tile each refuse to
+  break that), so it tests only what the tile changes: new corners
+  against edges, new edges against vertices, the corner intervals at each
+  vertex it shares, polygon overlap against the nearby tiles that share no
+  vertex with it, and the stars it closes (see add_tile).
+- from_tiles places a list of tiles unchecked, then runs validate() once.
+  validate() checks the whole patch by add_tile's rule: edges with more
+  than two tiles, vertices inside edges, the corner intervals at every
+  vertex, polygon overlap only between tiles that share no vertex, and
+  every star.  An invalid list is replayed through add_tile, so that
+  from_tiles raises what add_tile raises for the first tile at fault.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec
-from .atlas import LABEL_ANGLES, canonical_word
+from .atlas import canonical_word
 from .errors import (
     AtlasViolation,
     EdgeMismatchError,
@@ -36,13 +44,12 @@ from .errors import (
     NotValidated,
     OverlapError,
 )
+from .placement import FloatPoint, Placement
 from .symbolic import (
-    HALF_TURN,
     Direction,
     ExactPoint,
     SymbolicAngle,
     full_turn_check,
-    unit_vector,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -56,122 +63,6 @@ GRID = 2.32
 TURN_TOL = 1e-7
 # a point within GEOM_TOL of a unit edge is this close to its midpoint
 NEAR_MID2 = (0.5 + GEOM_TOL) ** 2
-
-TILE_LABEL_SEQ = {"T": "TTT", "S": "ABABAB"}
-
-
-@dataclass(frozen=True)
-class FloatPoint:
-    """Anchor known only numerically (SHIELD/1 `num` form)."""
-
-    x: float
-    y: float
-
-    def xy(self, alpha_rad: float) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Placement:
-    """One placed tile.
-
-    anchor is a vertex of the tile (any corner of a triangle, a sharp
-    A-corner of a shield); heading is the direction of the first boundary
-    edge going counterclockwise.  Shield corner labels then alternate
-    A,B,A,B,A,B along the walk.
-    """
-
-    kind: str  # "T" | "S"
-    anchor: ExactPoint | FloatPoint
-    heading: Direction
-
-    @property
-    def labels(self) -> str:
-        return TILE_LABEL_SEQ[self.kind]
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.anchor, ExactPoint)
-
-    def corner_dirs(self) -> list[tuple[str, Direction, SymbolicAngle]]:
-        """Per corner: (label, outgoing edge direction, interior angle)."""
-        return _corner_dirs(self.kind, self.heading.a, self.heading.b)
-
-    def corner_points(self) -> list[ExactPoint]:
-        """Exact corner positions (anchor first); exact anchors only."""
-        pts = [self.anchor]
-        p = self.anchor
-        for _lab, d, _ang in self.corner_dirs()[:-1]:
-            p = p.step(d)
-            pts.append(p)
-        return pts
-
-    def corner_xy(self, alpha_rad: float) -> list[tuple[float, float]]:
-        x, y = self.anchor.xy(alpha_rad)
-        pts = [(x, y)]
-        for _lab, d, _ang in self.corner_dirs()[:-1]:
-            t = d.value(alpha_rad)
-            x, y = x + math.cos(t), y + math.sin(t)
-            pts.append((x, y))
-        return pts
-
-    def translated(self, vec: ExactPoint) -> "Placement":
-        return Placement(self.kind, self.anchor + vec, self.heading)
-
-    def rotated(self, ang: SymbolicAngle) -> "Placement":
-        return Placement(self.kind, self.anchor.rotated(ang), self.heading.plus(ang))
-
-    def reflected(self) -> "Placement":
-        """Mirror image across the real axis, re-anchored CCW."""
-        if self.kind == "T":
-            h = Direction.of(-self.heading.a - 1, -self.heading.b)
-        else:
-            h = Direction.of(-self.heading.a, -self.heading.b - 1)
-        return Placement(self.kind, self.anchor.conj(), h)
-
-
-@lru_cache(maxsize=4096)
-def _corner_dirs(kind, a, b):
-    out = []
-    d = Direction.of(a, b)
-    labels = TILE_LABEL_SEQ[kind]
-    for i, lab in enumerate(labels):
-        ang = LABEL_ANGLES[lab]
-        out.append((lab, d, ang))
-        nxt = labels[(i + 1) % len(labels)]
-        d = d.plus(HALF_TURN - LABEL_ANGLES[nxt])
-    return out
-
-
-def placement_with_corner(
-    kind: str, corner_index: int, point: ExactPoint, d_out: Direction
-) -> Placement:
-    """Placement whose corner #corner_index sits at `point` with outgoing
-    boundary direction d_out."""
-    labels = TILE_LABEL_SEQ[kind]
-    # walk backwards from the corner to the anchor
-    d = d_out
-    p = point
-    for i in range(corner_index, 0, -1):
-        d = d.plus(LABEL_ANGLES[labels[i]] - HALF_TURN)
-        p = p - unit_vector(d)
-    return Placement(kind, p, d)
-
-
-# the tile kind and corner index that put each corner label at a vertex
-LABEL_CORNERS = {"T": ("T", 0), "A": ("S", 0), "B": ("S", 1)}
-
-
-def star_placements(word: str, point: ExactPoint) -> list[Placement]:
-    """The tiles of the vertex star with corner word `word` at `point`,
-    counterclockwise, the first corner flush at direction 0."""
-    d = Direction.of(0, 0)
-    out = []
-    for lab in word:
-        out.append(placement_with_corner(*LABEL_CORNERS[lab], point, d))
-        d = d.plus(LABEL_ANGLES[lab])
-    return out
-
 
 @dataclass
 class Violation:
@@ -202,7 +93,8 @@ class _Vertex:
     def __init__(self, point, xy):
         self.point = point
         self.xy = xy
-        # interval: (start_rad, end_rad, start_dir, angle, tile_idx, label)
+        # interval: (start_rad, end_rad, start_dir, angle, tile_idx, label),
+        # in the order the tiles were placed
         self.intervals: list[tuple] = []
 
 
@@ -214,14 +106,14 @@ class Patch:
         self.eval_rad = alpha.eval_radians()
         self.exact_keys = alpha.kind == "generic"
         self.tiles: list[Placement] = []
-        self._tile_vids: list[list[int]] = []
+        self._tile_vids: list[tuple[int, ...]] = []
         self._tile_polys: list[tuple] = []
         self._vertices: list[_Vertex] = []
         self._key2vid: dict = {}
         self._edges: dict[tuple[int, int], list[int]] = {}
         # edges with exactly one tile, in no meaningful order
         self._boundary: dict[tuple[int, int], None] = {}
-        # unit cell of an edge's midpoint -> [(mx, my, ax, ay, bx, by), ...]
+        # unit cell of an edge's midpoint -> [(mx, my, ax, ay, bx, by, edge)]
         self._mid: dict[tuple[int, int], list[tuple]] = {}
         # per tile: mean of its corners and greatest corner distance from it
         self._tile_discs: list[tuple[float, float, float]] = []
@@ -230,10 +122,33 @@ class Patch:
         # vid -> (gaps, index in the sorted intervals of the one before each
         # gap); dropped whenever the vertex's intervals change
         self._gap_cache: dict[int, tuple] = {}
-        # one entry of reversible effects per add_tile, for pop_tile
+        # one entry of reversible effects per placed tile, for pop_tile
         self._undo: list[tuple] = []
         self._frozen = False
         self._report: ValidationReport | None = None
+
+    @classmethod
+    def from_tiles(cls, alpha: AlphaSpec, placements) -> "Patch":
+        """The patch of the given tiles, placed in order unchecked and then
+        validated once.  The report stays cached, so validate() costs
+        nothing until a tile is added or popped.
+
+        A patch that fails raises what add_tile raises, adding the same
+        tiles one by one: the tiles are replayed through add_tile, which
+        refuses the first tile at fault.  validate() and add_tile share one
+        placement rule, so the replay runs only for an invalid patch.
+        """
+        placements = list(placements)
+        patch = cls(alpha)
+        for pl in placements:
+            xys, pts = patch._corners(pl)
+            patch._commit(pl, xys, pts, patch._locate(xys, pts))
+        if not patch.validate().ok:
+            replay = cls(alpha)
+            for pl in placements:
+                replay.add_tile(pl)
+            patch.require_valid()  # reached only if the two rules disagree
+        return patch
 
     # -- vertex identification ------------------------------------------
 
@@ -259,7 +174,29 @@ class Patch:
             journal.append((vid, point, vcell))
         return vid
 
+    def _locate(self, xys, pts) -> tuple[int, ...]:
+        """Vertex ids of a tile's corners.  A corner not in the patch yet
+        gets the id that _commit will give it (the corners of one tile never
+        coincide)."""
+        vids = []
+        next_vid = len(self._vertices)
+        for xy, pt in zip(xys, pts):
+            vid = self._find_vid(xy, pt)
+            if vid is None:
+                vid = next_vid
+                next_vid += 1
+            vids.append(vid)
+        return tuple(vids)
+
     # -- geometry helpers ------------------------------------------------
+
+    def _corners(self, pl: Placement):
+        """(corner coordinates, exact corner points or Nones) of a tile."""
+        if not pl.is_exact and self.exact_keys:
+            raise ValueError("numeric anchors require numeric alpha")
+        xys = pl.corner_xy(self.eval_rad)
+        pts = pl.corner_points() if pl.is_exact else [None] * len(xys)
+        return xys, pts
 
     def _tile_ids_near(self, x, y):
         cx, cy = math.floor(x / GRID), math.floor(y / GRID)
@@ -273,13 +210,16 @@ class Patch:
         """Vertices in the unit cells that the box (x, y) +- r touches."""
         return _in_cells(self._vgrid, x, y, r)
 
-    def _inside_some_edge(self, x, y) -> bool:
-        """True iff (x, y) lies strictly inside an edge of the patch."""
+    def _inside_some_edge(self, x, y, vid=None) -> bool:
+        """True iff (x, y) lies strictly inside an edge of the patch.
+
+        (x, y) is the point of vertex vid, if given; its own edges end at
+        it and are passed over."""
         near = _in_cells(self._mid, x, y, 0.5 + GEOM_TOL)
-        for mx, my, ax, ay, bx, by in near:
+        for mx, my, ax, ay, bx, by, ek in near:
             ux, uy = x - mx, y - my
-            if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(
-                x, y, ax, ay, bx, by
+            if vid not in ek and ux * ux + uy * uy <= NEAR_MID2 and (
+                _strictly_inside(x, y, ax, ay, bx, by)
             ):
                 return True
         return False
@@ -318,7 +258,7 @@ class Patch:
 
     # -- construction ------------------------------------------------------
 
-    def add_tile(self, pl: Placement) -> list[int]:
+    def add_tile(self, pl: Placement) -> tuple[int, ...]:
         """Place a tile; raises and leaves the patch unchanged on conflict.
 
         Returns the vertex ids of the tile corners.
@@ -341,25 +281,11 @@ class Patch:
         """
         if self._frozen:
             raise ValueError("patch is frozen")
-        if not pl.is_exact and self.exact_keys:
-            raise ValueError("numeric anchors require numeric alpha")
-        xys = pl.corner_xy(self.eval_rad)
-        pts = pl.corner_points() if pl.is_exact else [None] * len(xys)
-        dirs = pl.corner_dirs()
+        xys, pts = self._corners(pl)
+        vids = self._locate(xys, pts)
+        old = len(self._vertices)
 
         # -- checks on a scratch view (no mutation yet) --
-        # corners not in the patch yet get the ids they will be given (the
-        # corners of one tile never coincide)
-        vids = []
-        old = len(self._vertices)
-        next_vid = old
-        for xy, pt in zip(xys, pts):
-            vid = self._find_vid(xy, pt)
-            if vid is None:
-                vid = next_vid
-                next_vid += 1
-            vids.append(vid)
-
         n = len(vids)
         # edge usage; a new vertex is in no edge yet
         edge_tiles = []
@@ -381,17 +307,14 @@ class Patch:
             ):
                 raise EdgeMismatchError("existing vertex lies inside a new edge")
         # angular overlap at shared vertices; this also refuses a duplicate
-        new_intervals: list[tuple[int, tuple]] = []
+        spans = pl.corner_spans(self.eval_rad)
         sharing = set()  # tiles with a corner at a vertex of this one
-        for (xy, vid, (lab, d_out, ang)) in zip(xys, vids, dirs):
-            s = d_out.value(self.eval_rad)
-            e = s + ang.value(self.eval_rad)
+        for (s, e), vid in zip(spans, vids):
             if vid < old:
                 for iv in self._vertices[vid].intervals:
                     if _circular_overlap(s, e, iv[0], iv[1]) > GEOM_TOL:
                         raise OverlapError("angular overlap at a shared vertex")
                     sharing.add(iv[4])
-            new_intervals.append((vid, (s, e, d_out, ang, len(self.tiles), lab)))
         # polygon overlap against the other nearby tiles
         flat = tuple(c for xy in xys for c in xy)
         disc = _disc(xys)
@@ -402,17 +325,28 @@ class Patch:
         if tid is not None:
             raise OverlapError(f"interior overlap with tile {tid}")
         # tentative stars at the vertices already in the patch
-        for vid, iv in new_intervals:
+        tidx = len(self.tiles)
+        for (lab, d_out, ang), (s, e), vid in zip(pl.corner_dirs(), spans, vids):
             if vid >= old:
                 continue
-            ivs = self._vertices[vid].intervals + [iv]
+            ivs = self._vertices[vid].intervals + [(s, e, d_out, ang, tidx, lab)]
             fault, _closed = self._star_verdict(ivs)
             if fault == "overlap":
                 raise OverlapError("corner angles exceed a full turn")
             if fault == "atlas":
                 raise AtlasViolation(f"interior star {_star_word(ivs)} not in atlas")
 
-        # -- commit --
+        return self._commit(pl, xys, pts, vids, flat, disc)
+
+    def _commit(self, pl, xys, pts, vids, flat=None, disc=None):
+        """Place a tile unchecked at the vertex ids that _locate gave it.
+
+        An edge keeps its tiles in the order they came; it is a boundary
+        edge while it has exactly one."""
+        if flat is None:
+            flat = tuple(c for xy in xys for c in xy)
+            disc = _disc(xys)
+        old = len(self._vertices)
         journal = []
         for xy, pt, vid in zip(xys, pts, vids):
             if vid >= old:
@@ -423,20 +357,24 @@ class Patch:
         self._tile_vids.append(vids)
         self._tile_polys.append(flat)
         self._tile_discs.append(disc)
+        n = len(vids)
         for i in range(n):
-            u, v = vids[i], vids[(i + 1) % n]
+            j = (i + 1) % n
+            u, v = vids[i], vids[j]
             ek = (u, v) if u < v else (v, u)
-            ts = edge_tiles[i]
-            if ts is not None:
-                ts.append(tidx)
-                del self._boundary[ek]
+            ts = self._edges.get(ek)
+            if ts is None:
+                self._edges[ek] = [tidx]
+                self._boundary[ek] = None
+                mcell, seg = _mid_entry(*xys[i], *xys[j], ek)
+                self._mid.setdefault(mcell, []).append(seg)
                 continue
-            self._edges[ek] = [tidx]
-            self._boundary[ek] = None
-            mcell, seg = _mid_entry(*xys[i], *xys[(i + 1) % n])
-            self._mid.setdefault(mcell, []).append(seg)
-        for vid, iv in new_intervals:
-            self._vertices[vid].intervals.append(iv)
+            ts.append(tidx)
+            if len(ts) == 2:
+                del self._boundary[ek]
+        spans = pl.corner_spans(self.eval_rad)
+        for (lab, d_out, ang), (s, e), vid in zip(pl.corner_dirs(), spans, vids):
+            self._vertices[vid].intervals.append((s, e, d_out, ang, tidx, lab))
             self._gap_cache.pop(vid, None)
         cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
         self._grid.setdefault(cell, []).append(tidx)
@@ -467,15 +405,18 @@ class Patch:
             ek = (min(u, v), max(u, v))
             ts = self._edges[ek]
             ts.remove(tidx)
-            if ts:
+            if len(ts) == 1:
                 self._boundary[ek] = None
+            if ts:
                 continue
             # tiles are popped last in, first out, so an edge left without
             # tiles was brought in by this tile, from these coordinates
             del self._edges[ek]
             del self._boundary[ek]
             j = (i + 1) % n
-            mcell, seg = _mid_entry(*poly[2 * i:2 * i + 2], *poly[2 * j:2 * j + 2])
+            mcell, seg = _mid_entry(
+                *poly[2 * i:2 * i + 2], *poly[2 * j:2 * j + 2], ek
+            )
             self._mid[mcell].remove(seg)
         for vid in set(vids):
             vtx = self._vertices[vid]
@@ -496,20 +437,6 @@ class Patch:
 
     def __len__(self) -> int:
         return len(self.tiles)
-
-    def has_tile(self, pl: Placement) -> bool:
-        """True iff a tile has a corner at pl's anchor with pl's first label
-        and outgoing direction, i.e. pl is already placed."""
-        if self.exact_keys and not pl.is_exact:
-            return False
-        vid = self._find_vid(pl.anchor.xy(self.eval_rad), pl.anchor)
-        if vid is None:
-            return False
-        lab = pl.labels[0]
-        return any(
-            iv[5] == lab and iv[2] == pl.heading
-            for iv in self._vertices[vid].intervals
-        )
 
     def add_vertex(self, point: ExactPoint) -> int:
         """Register a bare vertex (a center with no tiles yet).
@@ -534,6 +461,14 @@ class Patch:
 
     def vertex_point(self, vid: int):
         return self._vertices[vid].point
+
+    def tile_vertices(self, tid: int) -> tuple[int, ...]:
+        """Vertex ids of a tile's corners, anchor first."""
+        return self._tile_vids[tid]
+
+    def shared_edges(self):
+        """Edges between two tiles, as ((u, v), (tile, tile)) with u < v."""
+        return ((ek, tuple(ts)) for ek, ts in self._edges.items() if len(ts) == 2)
 
     def tiles_at(self, vid: int) -> set[int]:
         """Indices of the tiles with a corner at a vertex."""
@@ -639,33 +574,56 @@ class Patch:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Full re-check of all structural invariants."""
+        """Check the whole patch by add_tile's placement rule.
+
+        Faults: an edge with more than two tiles, a vertex strictly inside
+        an edge, two corner intervals that overlap at a vertex, two tiles
+        that share no vertex but overlap, and a star that exceeds a full
+        turn or closes it off the atlas.  Tiles that share a vertex get no
+        polygon test: each lies in the cone of its corner there, so the
+        interval test has decided them.  The report is kept until a tile
+        is added or popped.
+        """
         if self._report is not None:
             return self._report
         rep = ValidationReport()
         # every tile's boundary walk closes by construction: a shield's edge
         # directions d + {0, 2, 4}*pi/3 and d + alpha + {-1, 1, 3}*pi/3, and a
         # triangle's three, are triples of unit vectors summing to 0
-        # edges shared by at most two tiles, endpoint to endpoint
         for ek, ts in self._edges.items():
             if len(ts) > 2:
                 rep.add("edge_overuse", f"edge {ek} has {len(ts)} tiles")
         for vid, v in enumerate(self._vertices):
-            if self._inside_some_edge(*v.xy):
+            if self._inside_some_edge(*v.xy, vid):
                 rep.add("t_junction", f"vertex {vid} lies inside an edge")
-        # pairwise interior overlap via the spatial hash
-        for i, disc in enumerate(self._tile_discs):
-            near = [j for j in self._tile_ids_near(disc[0], disc[1]) if j < i]
-            for j in self._overlaps(self._tile_polys[i], disc, near):
-                rep.add("overlap", f"tiles {j} and {i} overlap")
-        # closed interior vertex stars solve the vertex equation
-        for vid, v in enumerate(self._vertices):
-            fault, _closed = self._star_verdict(v.intervals)
+            ivs = v.intervals
+            if _cones_may_meet(ivs):
+                for i, a in enumerate(ivs):
+                    for b in ivs[i + 1:]:
+                        if _circular_overlap(a[0], a[1], b[0], b[1]) > GEOM_TOL:
+                            rep.add(
+                                "overlap",
+                                f"tiles {a[4]} and {b[4]} overlap at vertex {vid}",
+                            )
+            fault, _closed = self._star_verdict(ivs)
             if fault == "overlap":
                 rep.add("overlap", f"vertex {vid} corners exceed a full turn")
             elif fault == "atlas":
-                word = _star_word(v.intervals)
-                rep.add("atlas", f"vertex {vid} star {word} not in atlas")
+                rep.add("atlas", f"vertex {vid} star {_star_word(ivs)} not in atlas")
+        blocks = {}  # tile grid cell -> the tiles of its 3x3 block
+        for i, disc in enumerate(self._tile_discs):
+            cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
+            block = blocks.get(cell)
+            if block is None:
+                block = blocks[cell] = self._tile_ids_near(disc[0], disc[1])
+            sharing = {
+                iv[4]
+                for vid in self._tile_vids[i]
+                for iv in self._vertices[vid].intervals
+            }
+            near = [j for j in block if j < i and j not in sharing]
+            for j in self._overlaps(self._tile_polys[i], disc, near):
+                rep.add("overlap", f"tiles {j} and {i} overlap")
         self._report = rep
         return rep
 
@@ -738,18 +696,20 @@ def _in_cells(table, x, y, r):
     return out
 
 
-def _mid_entry(ax, ay, bx, by):
-    """Midpoint-index cell and entry of the edge from a to b."""
+def _mid_entry(ax, ay, bx, by, ek):
+    """Midpoint-index cell and entry of the edge ek from a to b."""
     mx, my = (ax + bx) / 2, (ay + by) / 2
-    return (math.floor(mx), math.floor(my)), (mx, my, ax, ay, bx, by)
+    return (math.floor(mx), math.floor(my)), (mx, my, ax, ay, bx, by, ek)
 
 
 def _strictly_inside(px, py, ax, ay, bx, by) -> bool:
     """True iff the point lies on segment ab, away from both ends."""
+    # the end tests first: a point tested against an edge is most often
+    # one of its ends
     return (
-        gk.point_segment_dist(px, py, ax, ay, bx, by) < GEOM_TOL
-        and math.hypot(px - ax, py - ay) > GEOM_TOL
+        math.hypot(px - ax, py - ay) > GEOM_TOL
         and math.hypot(px - bx, py - by) > GEOM_TOL
+        and gk.point_segment_dist(px, py, ax, ay, bx, by) < GEOM_TOL
     )
 
 
@@ -762,6 +722,26 @@ def _circular_overlap(s1, e1, s2, e2) -> float:
         if hi - lo > best:
             best = hi - lo
     return best
+
+
+def _cones_may_meet(ivs) -> bool:
+    """False when no two of the corner intervals ivs at one vertex overlap
+    by more than GEOM_TOL.
+
+    Sorted by start, each interval must end by the start of the next, and
+    the last by the start of the first a turn later, each within GEOM_TOL.
+    Then each interval ends, within GEOM_TOL, before every later start and
+    every start a turn later, so no shift of _circular_overlap finds more.
+    """
+    if len(ivs) < 2:
+        return False
+    ivs = sorted(ivs)
+    end = ivs[-1][1] - TWO_PI
+    for iv in ivs:
+        if end > iv[0] + GEOM_TOL:
+            return True
+        end = iv[1]
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ latest tile it depends on (see _Search.run).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -20,11 +21,9 @@ from . import geomkernel as gk
 from .alpha import AlphaSpec, make_alpha
 from .atlas import VertexConfig, atlas_configs, gap_feasible
 from .errors import BudgetExceeded, ShieldError
-from .patch import (
-    GEOM_TOL,
+from .patch import GEOM_TOL, Patch, PatternBall
+from .placement import (
     LABEL_CORNERS,
-    Patch,
-    PatternBall,
     Placement,
     placement_with_corner,
     star_placements,
@@ -193,10 +192,16 @@ class _DiskFrontier:
     vertex meet the disk.  The counts are scanned from
     patch.boundary_edges() once; after that the search that owns it
     reports each tile just added (add) and each pop (pop), last in, first
-    out.  An edge
-    of an added tile that meets the disk and is now a boundary edge was
-    brought in by the tile (+1 at both ends); any other such edge was
-    closed by it (-1).  A pop undoes the latest add.
+    out.  An edge of an added tile that meets the disk and is now a
+    boundary edge was brought in by the tile (+1 at both ends); any other
+    such edge was closed by it (-1).  A pop undoes the latest add.
+
+    A heap of (dist2, vid) holds every counted vertex with gaps.  A vertex
+    is pushed when its count rises from 0, and when a tile at it is popped,
+    the only way its gaps can come back.  A call drops entries from the
+    top until one is counted, has gaps and has the vertex's dist2 (a
+    popped vertex's id is reused).  Stale entries are dropped in a rebuild
+    from the counts once they outnumber them.
     """
 
     def __init__(self, patch: Patch, center_xy, radius: float):
@@ -205,11 +210,12 @@ class _DiskFrontier:
         self.radius = radius
         self.boundary = patch.boundary_edges()  # live view
         self.counts = {}  # vid -> boundary edges at it that meet the disk
+        self.heap = []
         for u, v in self.boundary:
             if self._meets(u, v):
                 self._bump(u, 1)
                 self._bump(v, 1)
-        self.changes = []  # ((u, v, +-1), ...) per reported tile
+        self.changes = []  # (vids, ((u, v, +-1), ...)) per reported tile
 
     def _meets(self, u, v) -> bool:
         p = self.patch
@@ -217,10 +223,22 @@ class _DiskFrontier:
             self.cx, self.cy, *p.vertex_xy(u), *p.vertex_xy(v)
         ) <= self.radius + GEOM_TOL
 
+    def _entry(self, w):
+        x, y = self.patch.vertex_xy(w)
+        return (x - self.cx) ** 2 + (y - self.cy) ** 2, w
+
+    def _push(self, w):
+        heapq.heappush(self.heap, self._entry(w))
+        if len(self.heap) > 2 * len(self.counts) + 64:
+            self.heap = [self._entry(v) for v in self.counts]
+            heapq.heapify(self.heap)
+
     def _bump(self, w, step):
         c = self.counts.get(w, 0) + step
         if c:
             self.counts[w] = c
+            if c == step:
+                self._push(w)
         else:
             del self.counts[w]
 
@@ -236,24 +254,26 @@ class _DiskFrontier:
                 self._bump(u, step)
                 self._bump(v, step)
                 changes.append((u, v, step))
-        self.changes.append(changes)
+        self.changes.append((vids, changes))
 
     def pop(self):
         """Undo the latest add, once its tile is popped."""
-        for u, v, step in self.changes.pop():
+        vids, changes = self.changes.pop()
+        for u, v, step in changes:
             self._bump(u, -step)
             self._bump(v, -step)
+        for w in vids:
+            if w in self.counts:
+                self._push(w)
 
     def __call__(self):
-        p = self.patch
-        best = None
-        # only a vertex nearer than the best so far has its gaps looked up
-        for w in self.counts:
-            x, y = p.vertex_xy(w)
-            cand = ((x - self.cx) ** 2 + (y - self.cy) ** 2, w)
-            if (best is None or cand < best) and p.gaps(w):
-                best = cand
-        return best
+        heap = self.heap
+        while heap:
+            w = heap[0][1]
+            if w in self.counts and heap[0] == self._entry(w) and self.patch.gaps(w):
+                return heap[0]
+            heapq.heappop(heap)
+        return None
 
 
 def fill_disk(
@@ -559,17 +579,17 @@ def dodecagon_fillings() -> tuple[Patch, ...]:
     """
     out = []
     for k in range(3):
-        q = Patch(RIGHT)
+        tiles = []
         for b in range(4):
             d = Direction.of(k, b)
-            q.add_tile(Placement("S", DODECAGON_CENTER, d))
+            tiles.append(Placement("S", DODECAGON_CENTER, d))
             # the B corners of shields b and b - 1 meet at the end of
             # shield b's first edge and leave the pi/3 from -30 to +30
             # degrees about that edge's direction
-            q.add_tile(Placement(
+            tiles.append(Placement(
                 "T", DODECAGON_CENTER.step(d), Direction.of(k + 1, b - 1)
             ))
-        q.require_valid()
+        q = Patch.from_tiles(RIGHT, tiles)
         q.freeze()
         out.append(q)
     return tuple(out)

@@ -16,7 +16,8 @@ from typing import Iterable, TextIO
 
 from .alpha import AlphaSpec, make_alpha
 from .errors import ShieldError
-from .patch import FloatPoint, Patch, Placement
+from .patch import Patch
+from .placement import FloatPoint, Placement
 from .symbolic import Direction, ExactPoint
 
 MAGIC = "shield-patch 1"
@@ -111,13 +112,14 @@ def read_patch(src: TextIO | Iterable[str]) -> Patch:
     if len(lines) < 2:
         raise FormatError("missing alpha line")
     alpha = _parse_alpha_line(lines[1].split())
-    patch = Patch(alpha)
+    tiles = []
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] != "tile":
             raise FormatError(f"unexpected line: {ln}")
-        patch.add_tile(_parse_tile(parts))
-    return patch
+        tiles.append(_parse_tile(parts))
+    # validated once, whole; raises what add_tile would, tile by tile
+    return Patch.from_tiles(alpha, tiles)
 
 
 def loads(text: str) -> Patch:

@@ -21,6 +21,8 @@ TWO_PI = 2.0 * math.pi
 
 # w^a in the {1, w} basis, a = 0..5.
 OMEGA_POW = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+# w = e^(i*pi/3) as a float
+OMEGA = cmath.exp(1j * PI3)
 
 
 def _eis_mul(u1: int, v1: int, u2: int, v2: int) -> tuple[int, int]:
@@ -143,10 +145,9 @@ class ExactPoint:
         ))
 
     def eval(self, alpha_rad: float) -> complex:
-        w = cmath.exp(1j * PI3)
         z = 0j
         for b, u, v in self.coeffs:
-            z += (u + v * w) * cmath.exp(1j * b * alpha_rad)
+            z += (u + v * OMEGA) * cmath.exp(1j * b * alpha_rad)
         return z
 
     def xy(self, alpha_rad: float) -> tuple[float, float]:

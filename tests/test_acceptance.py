@@ -397,13 +397,8 @@ def _hex_surround_violations(patch):
         if cfg.word != "TTTTTT":
             continue
         for v in vids:
-            star_tiles = {
-                iv[4] for iv in patch._vertices[v].intervals if iv[4] is not None
-            }
-            for ts in patch._edges.values():
-                if len(ts) != 2:
-                    continue
-                a, b = ts
+            star_tiles = patch.tiles_at(v)
+            for _ek, (a, b) in patch.shared_edges():
                 if (a in star_tiles) == (b in star_tiles):
                     continue
                 outside = b if a in star_tiles else a

@@ -29,8 +29,8 @@ from shieldtiles.shieldio import loads
 
 def _reference_spine_steps(patch, v):
     ss = tt = None
-    for (u, w), ts in patch._edges.items():
-        if v not in (u, w) or len(ts) != 2:
+    for (u, w), ts in patch.shared_edges():
+        if v not in (u, w):
             continue
         kinds = sorted(patch.tiles[t].kind for t in ts)
         other = w if u == v else u

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used by its module, every
-definition under src/ is read somewhere in src/, and every name that the
-traced benchmark wraps exists."""
+definition under src/ is read somewhere in src/, no module but patch.py
+reads the private state of a Patch, and every name that the traced
+benchmark wraps exists."""
 
 import ast
 import importlib
@@ -11,6 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shieldtiles"
 SCANNED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 SPANS = ROOT / "perfbench" / "spans.py"
+PATCH = PACKAGE / "patch.py"
+# test modules that check the private state of a Patch itself
+PRIVATE_READERS = {
+    "test_patch_incremental.py": "checks the edge, midpoint and gap indexes "
+    "against fresh scans",
+}
 
 # definitions that no module of the package reads, with their readers
 READ_OUTSIDE = {
@@ -116,6 +123,67 @@ def test_no_unused_definitions():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 10
     assert unused_definitions(sources, {*exported, *READ_OUTSIDE}) == []
+
+
+def private_members(source: str, cls: str) -> set[str]:
+    """Private attributes of a class: its _methods and the self._names it
+    assigns, dunders aside."""
+    (node,) = [
+        n for n in ast.parse(source).body
+        if isinstance(n, ast.ClassDef) and n.name == cls
+    ]
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.FunctionDef) and n.name.startswith("_"):
+            out.add(n.name)
+        elif (
+            isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+            and n.attr.startswith("_")
+        ):
+            out.add(n.attr)
+    return {name for name in out if not name.endswith("__")}
+
+
+def private_reads(source: str, private: set[str]) -> list[str]:
+    """Reads of the named attributes on anything but self or the class
+    itself, as `name (line)`: patch._edges, p._undo and the like."""
+    return [
+        f"{ast.unparse(n.value)}.{n.attr} (line {n.lineno})"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in private
+        and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "Patch"))
+    ]
+
+
+def test_scan_finds_a_private_read():
+    cls = (
+        "class Patch:\n    def __init__(self):\n        self._edges = {}\n"
+        "        self.tiles = []\n\n    def _scan(self):\n"
+        "        return self._edges\n"
+    )
+    assert private_members(cls, "Patch") == {"_edges", "_scan"}
+    src = (
+        "def f(patch, p):\n    p.tiles\n    p._scan()\n"
+        "    return patch._edges, p.frontier.patch._edges\n"
+    )
+    assert sorted(private_reads(src, {"_edges", "_scan"})) == [
+        "p._scan (line 3)", "p.frontier.patch._edges (line 4)",
+        "patch._edges (line 4)",
+    ]
+    assert private_reads(cls, {"_edges", "_scan"}) == []
+
+
+def test_no_private_patch_reads_outside_patch_py():
+    private = private_members(PATCH.read_text(), "Patch")
+    assert {"_edges", "_tile_vids", "_vertices", "_star_verdict"} <= private
+    found = {
+        str(path.relative_to(ROOT)): reads
+        for path in SCANNED
+        if path != PATCH and path.name not in PRIVATE_READERS
+        and (reads := private_reads(path.read_text(), private))
+    }
+    assert found == {}
 
 
 def test_scan_finds_an_unused_import():

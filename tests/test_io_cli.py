@@ -4,9 +4,16 @@ import pytest
 
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.cli import main
-from shieldtiles.errors import ShieldError
+from shieldtiles.errors import (
+    AtlasViolation,
+    EdgeMismatchError,
+    OverlapError,
+    ShieldError,
+)
 from shieldtiles.generators import gen_line_tiling, gen_triangle_tiling
-from shieldtiles.patch import FloatPoint, Patch, Placement
+from shieldtiles import patch as patch_module
+from shieldtiles.patch import Patch
+from shieldtiles.placement import FloatPoint, Placement
 from shieldtiles.shieldio import FormatError, dumps, loads
 from shieldtiles.symbolic import Direction, ExactPoint
 
@@ -79,6 +86,88 @@ def test_short_lines_and_zero_denominators_are_errors(tmp_path, capsys, text, er
     f.write_text(text)
     assert main(["classify", str(f)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+HEAD = "shield-patch 1\nalpha "
+# invalid files, with the error that reading them raised when each tile
+# went through add_tile in turn
+INVALID_FILES = {
+    "duplicate-tile": (
+        HEAD + "generic\ntile T exact 0:0,0 0 0\ntile S exact 0:2,0 0 0\n"
+        "tile T exact 0:0,0 0 0\n",
+        OverlapError,
+    ),
+    # triangles from 0 to 60 and from 30 to 90 degrees about the origin
+    "angular-overlap": (
+        HEAD + "rational 1 2\ntile T exact 0:0,0 0 0\ntile T exact 0:0,0 5 1\n",
+        OverlapError,
+    ),
+    # the second triangle's top corner is the midpoint of the first's base
+    "t-junction": (
+        HEAD + "degrees 110\ntile T num 0 0 0 0\ntile T num 0.5 0 4 0\n",
+        EdgeMismatchError,
+    ),
+    # four sharp corners a microdegree above pi/2 close a turn within
+    # tolerance, off the atlas
+    "star-off-atlas": (
+        HEAD + "degrees 90.000001\n"
+        + "".join(f"tile S exact 0:0,0 0 {k}\n" for k in range(4)),
+        AtlasViolation,
+    ),
+    "edge-with-three-tiles": (
+        HEAD + "generic\ntile T exact 0:0,0 0 0\ntile T exact 0:1,0 3 0\n"
+        "tile S exact 0:0,0 0 0\n",
+        OverlapError,
+    ),
+    # two faults: the error is that of the one add_tile meets first
+    "t-junction-then-three-tiles": (
+        HEAD + "degrees 110\ntile T num 0 0 0 0\ntile T num 0.5 0 4 0\n"
+        "tile T num 5 0 0 0\ntile T num 6 0 3 0\ntile S num 5 0 0 0\n",
+        EdgeMismatchError,
+    ),
+    "three-tiles-then-t-junction": (
+        HEAD + "degrees 110\ntile T num 5 0 0 0\ntile T num 6 0 3 0\n"
+        "tile S num 5 0 0 0\ntile T num 0 0 0 0\ntile T num 0.5 0 4 0\n",
+        OverlapError,
+    ),
+    # a fifth tile at the closed star overlaps it, after the star fault
+    "star-off-atlas-then-overlap": (
+        HEAD + "degrees 90.000001\n"
+        + "".join(f"tile S exact 0:0,0 0 {k}\n" for k in range(4))
+        + "tile T exact 0:0,0 0 0\n",
+        AtlasViolation,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_FILES))
+def test_invalid_files_raise_what_add_tile_raises(name):
+    text, error = INVALID_FILES[name]
+    with pytest.raises(ShieldError) as exc:
+        loads(text)
+    assert type(exc.value) is error
+    # added one by one, the same tiles are refused with the same error
+    header, lines = text.splitlines()[:2], text.splitlines()[2:]
+    tiles = [loads("\n".join(header + [ln])).tiles[0] for ln in lines]
+    patch = Patch(loads("\n".join(header)).alpha)
+    with pytest.raises(error):
+        for t in tiles:
+            patch.add_tile(t)
+
+
+def test_loaded_patch_is_validated_once(monkeypatch):
+    text = dumps(gen_line_tiling("+-", 3, GENERIC))
+    reports = []
+
+    class Counted(patch_module.ValidationReport):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    monkeypatch.setattr(patch_module, "ValidationReport", Counted)
+    patch = loads(text)
+    assert patch.validate().ok and patch.validate().ok
+    assert len(reports) == 1
 
 
 def test_cli_atlas_generic(capsys):

@@ -11,13 +11,8 @@ from shieldtiles.errors import (
     IncompleteCoverage,
     OverlapError,
 )
-from shieldtiles.patch import (
-    FloatPoint,
-    Patch,
-    PatternBall,
-    Placement,
-    placement_with_corner,
-)
+from shieldtiles.patch import Patch, PatternBall
+from shieldtiles.placement import FloatPoint, Placement, placement_with_corner
 from shieldtiles.patterns import fill_disk
 from shieldtiles.symbolic import (
     Direction,
@@ -136,9 +131,11 @@ def test_pop_tile_refused_after_a_newer_vertex(alpha, make):
     def state():
         return (
             list(patch.tiles),
-            {ek: list(ts) for ek, ts in patch._edges.items()},
+            list(patch.shared_edges()),
             [patch.vertex_xy(v) for v in patch.vertex_ids()],
-            [list(patch._vertices[v].intervals) for v in patch.vertex_ids()],
+            [patch.tiles_at(v) for v in patch.vertex_ids()],
+            [patch.gaps(v) for v in patch.vertex_ids()],
+            [patch.tile_vertices(t) for t in range(len(patch))],
             set(patch.boundary_edges()),
             str(patch.validate()),
         )

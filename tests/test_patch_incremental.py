@@ -7,14 +7,20 @@ them, or turned into the gap, so that they share a vertex but no edge.
 After every step the boundary set, the edge midpoint index and every
 cached gap list must equal what a fresh scan gives, and every add_tile
 and add_vertex verdict must equal the one of a brute force reference
-that checks all tiles, edges and vertices.  has_tile must find every
-placed tile from each of its anchors and no popped one, a duplicate must
-be refused, and the incremental disk frontier, told of each add and pop,
-must return what a full scan of the boundary edges returns, whether it
-is called after every step or only now and then.
+that checks all tiles, edges and vertices.  A duplicate must be refused,
+and the incremental disk frontier, told of each add and pop, must return
+what a full scan of the boundary edges returns, whether it is called
+after every step or only now and then.
+
+Batch builds are checked the same way: Patch.from_tiles must refuse a
+tile list exactly when adding its tiles one by one does, with the same
+error, and build the same state otherwise.  validate() on the tiles
+placed unchecked must report the same overlapping pairs as a polygon test
+of every pair of tiles.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +35,8 @@ from shieldtiles.errors import (
     OverlapError,
     ShieldError,
 )
-from shieldtiles.patch import (
-    GEOM_TOL,
-    LABEL_CORNERS,
-    Patch,
-    Placement,
-    placement_with_corner,
-)
+from shieldtiles.patch import GEOM_TOL, Patch
+from shieldtiles.placement import LABEL_CORNERS, Placement, placement_with_corner
 from shieldtiles.patterns import _DiskFrontier, _flush_candidates
 from shieldtiles.symbolic import (
     ANGLE_A,
@@ -208,9 +209,12 @@ def assert_state_matches_fresh_scan(patch):
 
     indexed = 0
     for cell, segs in patch._mid.items():
-        for mx, my, ax, ay, bx, by in segs:
+        for mx, my, ax, ay, bx, by, ek in segs:
             assert cell == (math.floor(mx), math.floor(my))
             assert (mx, my) == ((ax + bx) / 2, (ay + by) / 2)
+            ends = [patch.vertex_xy(v) for v in ek]
+            seg = [(ax, ay), (bx, by)]
+            assert _close(seg, ends) or _close(seg, ends[::-1])
             indexed += 1
     assert indexed == len(patch._edges)
     for u, v in patch._edges:
@@ -228,13 +232,6 @@ def assert_state_matches_fresh_scan(patch):
     for vid in patch.vertex_ids():
         assert patch._gap_scan(vid) == patch._scan_gaps(vid)
         assert isinstance(patch.gaps(vid), tuple)
-
-
-def assert_has_tile_answers(patch, popped):
-    for t in patch.tiles:
-        assert all(patch.has_tile(r) for r in _anchor_reps(t))
-    if popped is not None:
-        assert not any(patch.has_tile(r) for r in _anchor_reps(popped))
 
 
 # edges of the tiles at the center lie at distances sqrt(3)/2 and 1
@@ -418,13 +415,11 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
     # made once two tiles are placed, and made again after a pop below them
     now_and_then, made_at = None, 0
     for pick, which, op, call in steps:
-        popped = None
         if op == 0 and len(patch):
             count = min(pick + 1, len(patch))
             if len(patch) - count < made_at:
                 now_and_then, made_at = None, 0
             for _ in range(count):
-                popped = patch.tiles[-1]
                 patch.pop_tile()
                 for f in _followers(every_step, now_and_then):
                     f.pop()
@@ -451,7 +446,6 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
                     f.add(vids)
         assert_state_matches_fresh_scan(patch)
         assert patch.validate().ok
-        assert_has_tile_answers(patch, popped)
         assert_frontiers_match_full_scan(patch, every_step)
         if now_and_then is None and len(patch) >= 2:
             now_and_then, made_at = _frontiers(patch), len(patch)
@@ -559,3 +553,138 @@ def test_search_frontier_matches_full_scan(monkeypatch, n, alpha):
     monkeypatch.setattr(patterns, "_DiskFrontier", Checked)
     patterns.count_patterns(n, alpha)
     assert len(calls) > 50 and None in calls
+
+
+# -- batch builds ----------------------------------------------------------
+
+# per step: which open vertex, which candidate kind, 0: a turned tile,
+# 1: a tile with an edge through a vertex, 2: a tile with a corner inside
+# an edge, 3: a placed tile from another anchor, otherwise a flush tile;
+# and 0: keep the candidate in the list even if add_tile refused it
+BATCH_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 2), st.integers(0, 2), st.integers(0, 7), st.integers(0, 3)
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _tile_list(alpha, steps):
+    """Tiles as the completion search and its neighbours propose them: each
+    candidate is tried on a patch of the accepted ones, and a refused one
+    joins the list only when its step says so."""
+    patch = Patch(alpha)
+    out = []
+    for pick, which, op, keep in steps:
+        if op == 0:
+            cand = _turned_candidate(patch, pick, which)
+        elif op == 1:
+            cand = _slid_candidate(patch, pick, which)
+        elif op == 2:
+            cand = _stuck_candidate(patch, pick, which)
+        elif op == 3 and len(patch):
+            cand = _anchor_reps(patch.tiles[pick % len(patch)])[-1]
+        else:
+            cand = _next_candidate(patch, pick, which)
+        try:
+            patch.add_tile(cand)
+        except ShieldError:
+            if keep:
+                out.append(cand)
+            continue
+        out.append(cand)
+    return out
+
+
+def _planted(alpha, tiles):
+    """The tiles placed in order with no check at all, as from_tiles places
+    them before it validates."""
+    patch = Patch(alpha)
+    for t in tiles:
+        xys, pts = patch._corners(t)
+        patch._commit(t, xys, pts, patch._locate(xys, pts))
+    return patch
+
+
+def reference_overlapping_pairs(patch):
+    """Pairs of tiles whose interiors meet: every pair through the polygon
+    test, tiles that share a vertex included."""
+    rad = patch.eval_rad
+    polys = [tuple(c for xy in t.corner_xy(rad) for c in xy) for t in patch.tiles]
+    return {
+        (i, j)
+        for j in range(len(polys))
+        for i in range(j)
+        if _puregeom.convex_overlap(polys[i], polys[j], GEOM_TOL)
+    }
+
+
+def _reported_pairs(report):
+    """Tile pairs of the overlap faults of a report."""
+    out = set()
+    for v in report.violations:
+        m = re.match(r"tiles (\d+) and (\d+) overlap", v.detail)
+        if m:
+            out.add((int(m[1]), int(m[2])))
+    return out
+
+
+def _state(patch):
+    return (
+        [(patch.vertex_point(v), patch.vertex_xy(v)) for v in patch.vertex_ids()],
+        patch._edges,
+        set(patch.boundary_edges()),
+        [patch.gaps(v) for v in patch.vertex_ids()],
+        [patch.tile_vertices(t) for t in range(len(patch))],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]), steps=BATCH_STEPS)
+def test_from_tiles_refuses_what_add_tile_refuses(alpha, steps):
+    tiles = _tile_list(alpha, steps)
+    one_by_one = Patch(alpha)
+    want = None
+    for t in tiles:
+        try:
+            one_by_one.add_tile(t)
+        except ShieldError as exc:
+            want = type(exc)
+            break
+    try:
+        batch = Patch.from_tiles(alpha, tiles)
+        got = None
+    except ShieldError as exc:
+        got = type(exc)
+    assert got is want
+    if want is None:
+        assert _state(batch) == _state(one_by_one)
+        assert_state_matches_fresh_scan(batch)
+    # validate's placement rule against every pair of tiles
+    planted = _planted(alpha, tiles)
+    report = planted.validate()
+    assert report.ok is (want is None)
+    assert _reported_pairs(report) == reference_overlapping_pairs(planted)
+    assert_state_matches_fresh_scan(planted)
+
+
+@pytest.mark.parametrize(
+    "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
+)
+def test_pops_keep_the_boundary_of_an_overused_edge(alpha):
+    # three tiles on the edge from 0 to 1: the edge is a boundary edge
+    # exactly while it has one tile
+    tiles = [
+        Placement("T", ORIGIN, Direction.of(0, 0)),
+        Placement("T", unit_vector(Direction.of(0, 0)), Direction.of(3, 0)),
+        Placement("S", ORIGIN, Direction.of(0, 0)),
+    ]
+    with pytest.raises(OverlapError):
+        Patch.from_tiles(alpha, tiles)
+    patch = _planted(alpha, tiles)
+    assert [v.kind for v in patch.validate().violations][0] == "edge_overuse"
+    while len(patch):
+        assert_state_matches_fresh_scan(patch)
+        patch.pop_tile()
+    assert not patch.boundary_edges()

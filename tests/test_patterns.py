@@ -9,7 +9,8 @@ from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import LABEL_ANGLES, atlas_configs, atlas_words
 from shieldtiles.errors import AtlasViolation, BudgetExceeded
 from shieldtiles.generators import DodecagonChoice, gen_dodecagon_tiling
-from shieldtiles.patch import Patch, Placement, _star_word
+from shieldtiles.patch import Patch, _star_word
+from shieldtiles.placement import Placement
 from shieldtiles.patterns import (
     DODECA_CIRCUM,
     ORIGIN,
