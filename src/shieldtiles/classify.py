@@ -1,8 +1,9 @@
 """Decide which tiling family a finite window is consistent with.
 
 The decision follows the structure of the plane classification: no hex
-vertex means stacked shield lines (read off the orientation word); hex
-vertices must sit on a triangular lattice whose spacing gives the order.
+vertex means stacked shield lines (read off the orientation word); with
+hex vertices, the order k is read from the fault lines that join them,
+each a chain of 2k fault vertices.
 A window can under-determine parameters, reported via `complete=False`,
 or contradict both families, reported as Inconclusive.
 """
@@ -15,10 +16,7 @@ from dataclasses import dataclass
 
 from .atlas import VertexConfig
 from .errors import NotValidated
-from .generators import hex_lattice_vector
 from .patch import Patch
-
-_TOL = 1e-6
 
 HEX_WORD = "TTTTTT"
 BOWTIE_WORD = "ATBT"
@@ -29,12 +27,17 @@ def vertex_census(patch: Patch) -> dict[VertexConfig, list[int]]:
     """Interior vertices grouped by their configuration."""
     if not patch.validate().ok:
         raise NotValidated(str(patch.validate()))
-    out: dict[VertexConfig, list[int]] = defaultdict(list)
-    for vid in patch.vertex_ids():
-        word = patch.interior_word(vid)
-        if word is not None:
-            out[VertexConfig(word)].append(vid)
-    return dict(out)
+    # the words are canonical already: one VertexConfig per distinct word
+    out: dict[str, list[int]] = defaultdict(list)
+    for vid, word in _interior_words(patch).items():
+        out[word].append(vid)
+    return {VertexConfig(word): vids for word, vids in out.items()}
+
+
+def _interior_words(patch: Patch) -> dict[int, str]:
+    """The corner word of each vertex with a closed star, by vertex id."""
+    words = ((vid, patch.interior_word(vid)) for vid in patch.vertex_ids())
+    return {vid: word for vid, word in words if word is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +59,16 @@ class FaultLine:
 
 
 def fault_lines(patch: Patch) -> list[FaultLine]:
-    """All maximal fault chains, each reported once.
+    """All maximal fault chains, each reported once."""
+    return [
+        _fault_line(patch, verts, termini)
+        for verts, termini in _fault_chains(patch, _interior_words(patch))
+    ]
+
+
+def _fault_chains(patch: Patch, words: dict[int, str]):
+    """(vertices, termini) of each maximal fault chain, given the interior
+    words.
 
     A fault vertex has one shield-shield and one triangle-triangle edge,
     and its chain leaves it along both.  One pass over the edges that two
@@ -64,7 +76,6 @@ def fault_lines(patch: Patch) -> list[FaultLine]:
     chain through a fault vertex then follows the two kinds in turn, and
     each chain is walked once, from its vertex of least id.
     """
-    words = [patch.interior_word(v) for v in patch.vertex_ids()]
     # tile kind -> vertex -> far end of its edge between two tiles of that kind
     spine: dict[str, dict[int, int]] = {"S": {}, "T": {}}
     for (u, w), (s, t) in patch.shared_edges():
@@ -79,25 +90,24 @@ def fault_lines(patch: Patch) -> list[FaultLine]:
             nxt = spine[kind].get(v)
             if nxt is None:
                 return chain, Terminus("PatchBoundary")
-            if words[nxt] == HEX_WORD:
+            word = words.get(nxt)
+            if word == HEX_WORD:
                 return chain, Terminus("HexVertex", nxt)
-            if words[nxt] != FAULT_WORD:
+            if word != FAULT_WORD:
                 return chain, Terminus("PatchBoundary")
             chain.append(nxt)
             v = nxt
             kind = "T" if kind == "S" else "S"
 
     seen: set[int] = set()
-    out = []
-    for v, word in enumerate(words):
+    for v, word in words.items():
         if word != FAULT_WORD or v in seen:
             continue
         fwd, t_fwd = walk(v, "S")
         bwd, t_bwd = walk(v, "T")
         verts = bwd[::-1] + [v] + fwd
         seen.update(verts)
-        out.append(_fault_line(patch, verts, (t_bwd, t_fwd)))
-    return out
+        yield verts, (t_bwd, t_fwd)
 
 
 def _fault_line(patch: Patch, verts: list[int], termini) -> FaultLine:
@@ -279,48 +289,28 @@ def _read_word(patch: Patch, cents, chains, axis):
     return Classification("Line", word=word, complete=True)
 
 
-def _classify_triangles(patch: Patch, hexes: list[int]) -> Classification:
-    shields = any(t.kind == "S" for t in patch.tiles)
-    if not shields:
+def _classify_triangles(patch: Patch, census) -> Classification:
+    """Order 0 without shields.  Otherwise the fault lines that join two
+    hex vertices, all of one length 2k, give order k; with no such line,
+    a lone hex is the limit tiling."""
+    if not any(t.kind == "S" for t in patch.tiles):
         return Classification("Triangle", order=0, complete=True)
-    pts = [patch.vertex_xy(v) for v in hexes]
-    if len(pts) == 1:
+    # the census holds every interior word: the walk reads them from it
+    words = {v: cfg.word for cfg, vs in census.items() for v in vs}
+    lengths = {
+        len(verts)
+        for verts, termini in _fault_chains(patch, words)
+        if all(t.kind == "HexVertex" for t in termini)
+    }
+    if len(lengths) == 1 and min(lengths) % 2 == 0:
+        return Classification("Triangle", order=min(lengths) // 2, complete=True)
+    if not lengths and len(census[VertexConfig(HEX_WORD)]) == 1:
         return Classification("Triangle", order=math.inf, complete=False)
-    d_min = min(
-        math.hypot(ax - bx, ay - by)
-        for i, (ax, ay) in enumerate(pts)
-        for (bx, by) in pts[i + 1 :]
+    return Classification(
+        "Inconclusive",
+        reason="fault lines between hex vertices give no single order"
+        if lengths else "no fault line joins two hex vertices",
     )
-    rad = patch.eval_rad
-    order = None
-    for k in range(1, 200):
-        lx, ly = hex_lattice_vector(k).xy(rad)
-        if abs(math.hypot(lx, ly) - d_min) < _TOL:
-            order = k
-            break
-    if order is None:
-        return Classification(
-            "Inconclusive", reason="hex spacing matches no lattice order"
-        )
-    # all pairwise hex distances must be triangular-lattice distances
-    for i, (ax, ay) in enumerate(pts):
-        for (bx, by) in pts[i + 1 :]:
-            q = (math.hypot(ax - bx, ay - by) / d_min) ** 2
-            if abs(q - round(q)) > 1e-4 or not _loeschian(round(q)):
-                return Classification(
-                    "Inconclusive",
-                    reason="hex vertices not on a triangular lattice",
-                )
-    return Classification("Triangle", order=order, complete=True)
-
-
-def _loeschian(m: int) -> bool:
-    """m = i*i + i*j + j*j for some integers i, j >= 0."""
-    for i in range(int(math.isqrt(m)) + 1):
-        for j in range(i, int(math.isqrt(m)) + 1):
-            if i * i + i * j + j * j == m:
-                return True
-    return False
 
 
 def classify(patch: Patch) -> Classification:
@@ -340,9 +330,6 @@ def classify(patch: Patch) -> Classification:
         return Classification(
             "Inconclusive", reason=f"unexpected interior configurations {sorted(stray)}"
         )
-    hexes = [
-        v for cfg, vs in census.items() if cfg.word == HEX_WORD for v in vs
-    ]
-    if hexes:
-        return _classify_triangles(patch, hexes)
+    if HEX_WORD in words:
+        return _classify_triangles(patch, census)
     return _classify_lines(patch)

@@ -23,7 +23,7 @@ from .generators import (
 )
 from .patterns import DEFAULT_BUDGET, count_patterns, dodecagon_fillings
 from .render import render_svg
-from .shieldio import FormatError, dumps, load_file, save_file
+from .shieldio import dumps, load_file, save_file
 
 CONFIG_NAMES = {"TTTTTT": "hex", "ATBT": "bowtie", "ABTT": "fault"}
 
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ShieldError, FormatError, OSError, ValueError) as exc:
+    except (ShieldError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

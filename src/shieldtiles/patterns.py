@@ -505,35 +505,15 @@ def is_config_extendable(
 # Dodecagon packing and its fillings (right shield, 3.12.12 packing)
 # ---------------------------------------------------------------------------
 
-# unit-edge regular dodecagon traversed counterclockwise; edge k has
-# direction k*30 degrees, expressible exactly when alpha = pi/2
-_DODECA_DIRS = [
-    Direction.of(k // 2, 0) if k % 2 == 0 else Direction.of((k - 3) // 2, 1)
-    for k in range(12)
-]
-
 RIGHT = make_alpha("rational", 1, 2)
 
-
-def dodecagon_vertices() -> list[ExactPoint]:
-    """Corners of the dodecagon whose first edge leaves the origin at 0 degrees."""
-    pts = [ORIGIN]
-    for d in _DODECA_DIRS[:-1]:
-        pts.append(pts[-1].step(d))
-    return pts
-
-
-# the exact center of that dodecagon
+# the exact center of the unit-edge regular dodecagon whose first edge
+# leaves the origin at 0 degrees: w + e^(i*alpha) at alpha = pi/2
 DODECAGON_CENTER = ExactPoint.from_dict({0: (0, 1), 1: (1, 0)})
 
 
 def dodecagon_center_xy():
-    rad = RIGHT.radians()
-    pts = [p.xy(rad) for p in dodecagon_vertices()]
-    return (
-        sum(x for x, _ in pts) / 12.0,
-        sum(y for _, y in pts) / 12.0,
-    )
+    return DODECAGON_CENTER.xy(RIGHT.radians())
 
 
 # circumradius of the unit-edge regular dodecagon
@@ -548,7 +528,7 @@ def packing_cells(rho: float) -> list[tuple[int, int, ExactPoint]]:
     """Cells (i, j, base) of the dodecagon packing whose center lies within
     rho of the origin, a corner of cell (0, 0).
 
-    Cell (i, j) is the dodecagon of dodecagon_vertices translated by
+    Cell (i, j) is the dodecagon around DODECAGON_CENTER translated by
     base = i*north + j*(north turned by 60 degrees).  Its center is base
     plus the center offset, one circumradius from the origin at 75 degrees.
     """

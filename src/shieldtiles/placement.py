@@ -4,12 +4,13 @@ A tile's shape depends only on its kind and heading.  Its exact corner
 offsets from the anchor are computed once per (kind, heading), and the
 float steps between its corners and its corner spans once per alpha as
 well, in bounded caches; corner_points and corner_xy translate them.
+Each placement keeps its exact corners once computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .atlas import LABEL_ANGLES
@@ -29,7 +30,7 @@ class FloatPoint:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """One placed tile.
 
@@ -42,6 +43,9 @@ class Placement:
     kind: str  # "T" | "S"
     anchor: ExactPoint | FloatPoint
     heading: Direction
+    # exact corners, once corner_points has computed them: a generator that
+    # keys a tile by its corners and the patch that places it share them
+    _points: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def labels(self) -> str:
@@ -55,11 +59,13 @@ class Placement:
         """Per corner: (label, outgoing edge direction, interior angle)."""
         return _corner_dirs(self.kind, self.heading.a, self.heading.b)
 
-    def corner_points(self) -> list[ExactPoint]:
+    def corner_points(self) -> tuple[ExactPoint, ...]:
         """Exact corner positions (anchor first); exact anchors only."""
-        a = self.anchor
-        offsets = _corner_offsets(self.kind, self.heading.a, self.heading.b)
-        return [a] + [a + off for off in offsets]
+        if self._points is None:
+            a = self.anchor
+            offsets = _corner_offsets(self.kind, self.heading.a, self.heading.b)
+            object.__setattr__(self, "_points", (a, *[a + off for off in offsets]))
+        return self._points
 
     def corner_spans(self, alpha_rad: float) -> tuple[tuple[float, float], ...]:
         """Each corner's angular interval (start, end), start in [0, 2*pi)."""

@@ -4,7 +4,10 @@ Angles live in the integer lattice a*pi/3 + b*alpha.  Positions are sparse
 integer combinations sum_b (u_b + v_b*w) * e^(i*b*alpha) with w = e^(i*pi/3),
 reduced to the {1, w} basis via w^2 = w - 1.  For generic alpha the powers
 e^(i*b*alpha) are independent, so equality of coefficient maps is exact
-geometric equality; for numeric alpha callers fall back to tolerance 1e-9.
+geometric equality.  For rational and decimal alpha, a patch takes two
+points within GEOM_TOL (1e-6) for one vertex, numeric keys round
+coordinates to 6 decimals, and angles at a decimal alpha compare within
+TOL (1e-9).
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ class ExactPoint:
     """Sparse exact point: coeffs is a sorted tuple of (b, u, v) triples."""
 
     coeffs: tuple[tuple[int, int, int], ...] = ()
-
-    @staticmethod
-    def origin() -> "ExactPoint":
-        return ExactPoint()
 
     @staticmethod
     def from_dict(d: dict[int, tuple[int, int]]) -> "ExactPoint":

@@ -156,6 +156,21 @@ def test_fault_lines_read_each_interior_word_once(monkeypatch):
     assert len(calls) <= len(patch.vertex_ids())
 
 
+def test_classify_reads_each_interior_word_once(monkeypatch):
+    # the census and the fault-line walk share one read of the words
+    patch = gen_triangle_tiling(2, 4, GENERIC)
+    calls = []
+    word = Patch.interior_word
+
+    def counted(self, vid):
+        calls.append(vid)
+        return word(self, vid)
+
+    monkeypatch.setattr(Patch, "interior_word", counted)
+    assert classify(patch).order == 2
+    assert sorted(calls) == list(patch.vertex_ids())
+
+
 def _num_anchored(patch: Patch) -> Patch:
     """The same tiles read back from SHIELD/1 text in the `num` form."""
     lines = ["shield-patch 1", f"alpha degrees {math.degrees(patch.alpha.rad)!r}"]
@@ -176,3 +191,14 @@ def test_num_anchored_line_window_gets_the_exact_verdict(word):
     verdict = classify(num)
     assert verdict == classify(exact)
     assert verdict.family == "Line" and verdict.complete
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_num_anchored_triangle_window_gets_the_exact_verdict(order):
+    exact = gen_triangle_tiling(order, 2 * order + 1, make_alpha("decimal", 110.0))
+    num = _num_anchored(exact)
+    assert len(num) == len(exact)
+    assert not any(t.is_exact for t in num.tiles)
+    verdict = classify(num)
+    assert verdict == classify(exact)
+    assert (verdict.family, verdict.order, verdict.complete) == ("Triangle", order, True)

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used by its module, every
 definition under src/ is read somewhere in src/, no module but patch.py
-reads the private state of a Patch, and every name that the traced
-benchmark wraps exists."""
+reads the private state of a Patch, the classifier imports none of the
+generators it checks, and every name that the traced benchmark wraps
+exists."""
 
 import ast
 import importlib
@@ -13,6 +14,10 @@ PACKAGE = ROOT / "src" / "shieldtiles"
 SCANNED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 SPANS = ROOT / "perfbench" / "spans.py"
 PATCH = PACKAGE / "patch.py"
+CLASSIFY = PACKAGE / "classify.py"
+# the package modules the classifier may import: it checks the generators'
+# windows, so it must not take a fact from them
+CLASSIFY_IMPORTS = {"atlas", "errors", "patch"}
 # test modules that check the private state of a Patch itself
 PRIVATE_READERS = {
     "test_patch_incremental.py": "checks the edge, midpoint and gap indexes "
@@ -25,7 +30,6 @@ READ_OUTSIDE = {
     "PatternBall.translation_key": "the acceptance tests key fillings with it",
     "Placement.reflected": "the key tests mirror balls and fillings with it",
     "AlphaSpec.exceptional": "the alpha tests check the flag at the exceptional angles",
-    "ExactPoint.origin": "the tests spell the origin with it",
 }
 
 
@@ -200,6 +204,43 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that a module imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] == "shieldtiles":
+                    out.update(parts[1:2] or [a.name for a in node.names])
+            elif node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "shieldtiles" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def test_scan_finds_package_imports():
+    src = (
+        "import math\nfrom . import patch\nfrom .atlas import X\n"
+        "from .symbolic.sub import Y\nimport shieldtiles.errors\n"
+        "from shieldtiles import alpha\nfrom shieldtiles.cli import main\n"
+        "from collections import Counter\n"
+    )
+    assert package_imports(src) == {
+        "patch", "atlas", "symbolic", "errors", "alpha", "cli",
+    }
+
+
+def test_classify_imports_no_generator():
+    assert package_imports(CLASSIFY.read_text()) <= CLASSIFY_IMPORTS
 
 
 def _module_lists(path, names) -> dict:

@@ -46,13 +46,13 @@ def test_roundtrip_numeric_anchor():
 
 def test_exact_form_is_emitted_for_exact_patches():
     patch = Patch(GENERIC)
-    patch.add_tile(Placement("T", ExactPoint.origin(), Direction.of(0, 0)))
+    patch.add_tile(Placement("T", ExactPoint(), Direction.of(0, 0)))
     assert " exact " in dumps(patch)
 
 
 def test_comments_and_blank_lines_ignored():
     patch = Patch(GENERIC)
-    patch.add_tile(Placement("T", ExactPoint.origin(), Direction.of(0, 0)))
+    patch.add_tile(Placement("T", ExactPoint(), Direction.of(0, 0)))
     text = dumps(patch)
     lines = text.splitlines()
     noisy = [lines[0], "", "# a comment", lines[1], " ", *lines[2:]]

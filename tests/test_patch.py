@@ -20,7 +20,7 @@ from shieldtiles.symbolic import (
     SymbolicAngle,
 )
 
-ORIGIN = ExactPoint.origin()
+ORIGIN = ExactPoint()
 ALPHA_NUM = make_alpha("decimal", 99.34)
 
 
@@ -104,7 +104,7 @@ def test_pop_tile_restores_state():
     before_gaps = {
         vid: len(patch.gaps(vid)) for vid in patch.vertex_ids()
     }
-    extra = Placement("S", ExactPoint.origin().step(Direction.of(0, 0)),
+    extra = Placement("S", ExactPoint().step(Direction.of(0, 0)),
                       Direction.of(5, 0))
     patch.add_tile(extra)
     patch.pop_tile()
@@ -248,7 +248,7 @@ def _check_translation_key_separates_rotations(alpha):
     patch = bowtie_star(alpha)
     vid = patch.add_vertex(ORIGIN)
     ball = patch.extract_ball(vid, 0.1)
-    rot = _transformed(ball, SymbolicAngle(1, 0), False, ExactPoint.origin())
+    rot = _transformed(ball, SymbolicAngle(1, 0), False, ExactPoint())
     assert rot.key() == ball.key()
     assert rot.translation_key() != ball.translation_key()
     shifted = _transformed(

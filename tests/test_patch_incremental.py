@@ -48,7 +48,7 @@ from shieldtiles.symbolic import (
     unit_vector,
 )
 
-ORIGIN = ExactPoint.origin()
+ORIGIN = ExactPoint()
 RIGHT = make_alpha("rational", 1, 2)
 DECIMAL = make_alpha("decimal", 110)
 TWO_PI = 2 * math.pi

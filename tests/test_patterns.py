@@ -397,9 +397,9 @@ def test_star_verdict_agrees_with_the_atlas_words(monkeypatch):
     # patch's tolerance, and neither the atlas nor the equation admits them
     patch = Patch(make_alpha("decimal", 90 + 1e-6))
     for k in range(3):
-        patch.add_tile(Placement("S", ExactPoint.origin(), Direction.of(0, k)))
+        patch.add_tile(Placement("S", ExactPoint(), Direction.of(0, k)))
     with pytest.raises(AtlasViolation):
-        patch.add_tile(Placement("S", ExactPoint.origin(), Direction.of(0, 3)))
+        patch.add_tile(Placement("S", ExactPoint(), Direction.of(0, 3)))
     assert seen[True] and seen[False]
 
 

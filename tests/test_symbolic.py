@@ -116,7 +116,7 @@ def test_full_turn_rotation_is_identity(p):
 def test_point_group_laws(p, q):
     assert p + q == q + p
     assert (p + q) - q == p
-    assert p - p == ExactPoint.origin()
+    assert p - p == ExactPoint()
 
 
 def test_full_turn_check_generic_and_rational():
