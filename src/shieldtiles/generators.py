@@ -24,6 +24,7 @@ from .patterns import (
 )
 from .symbolic import (
     ANGLE_T,
+    OMEGA_POW,
     Direction,
     ExactPoint,
     SymbolicAngle,
@@ -96,11 +97,28 @@ def gen_line_tiling(word: str, extent: int, alpha: AlphaSpec) -> Patch:
     return patch
 
 
-def _hex_seeds(centers, with_ring: bool) -> list[Placement]:
-    """The six triangles of a hex at each center, and with_ring the six
-    shields around it, center by center.  Neighbouring hexes share tiles;
-    each tile is listed once, where it first comes, known by its kind and
-    exact corner set."""
+def _grid_triangles(corners) -> list[Placement]:
+    """The triangles of the plain grid that have a corner in corners, a
+    list of (u, v) points of the {1, w} basis.  Each triangle is placed
+    once, anchored at its first corner in the list."""
+    rank = {c: i for i, c in enumerate(corners)}
+    out = []
+    for i, (u, v) in enumerate(corners):
+        anchor = EP({0: (u, v)})
+        for j in range(6):
+            # the triangle of heading j at (u, v) has its other two corners
+            # at (u, v) + w^j and (u, v) + w^(j+1)
+            others = (OMEGA_POW[j], OMEGA_POW[(j + 1) % 6])
+            if all(rank.get((u + du, v + dv), i) >= i for du, dv in others):
+                out.append(Placement("T", anchor, Direction.of(j, 0)))
+    return out
+
+
+def _hex_seeds(centers) -> list[Placement]:
+    """The six triangles of a hex at each center and the six shields
+    around it, center by center.  Neighbouring hexes share shields; each
+    tile is listed once, where it first comes, known by its kind and exact
+    corner set."""
     out = []
     seen = set()
 
@@ -113,12 +131,11 @@ def _hex_seeds(centers, with_ring: bool) -> list[Placement]:
     for center in centers:
         for j in range(6):
             put(Placement("T", center, Direction.of(j, 0)))
-        if with_ring:
-            for j in range(6):
-                put(Placement(
-                    "S", center + unit_vector(Direction.of(j, 0)),
-                    Direction.of(4 + j, 0),
-                ))
+        for j in range(6):
+            put(Placement(
+                "S", center + unit_vector(Direction.of(j, 0)),
+                Direction.of(4 + j, 0),
+            ))
     return out
 
 
@@ -139,21 +156,20 @@ def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
     if order == 0:
         reach = extent + 2.0
         m = int(reach) + 2
-        centers = []
+        corners = []
         for u in range(-m, m + 1):
             for v in range(-m, m + 1):
-                c = EP({0: (u, v)})
-                x, y = c.xy(rad)
+                x, y = EP({0: (u, v)}).xy(rad)
                 if math.hypot(x, y) <= reach:
-                    centers.append(c)
-        patch = Patch.from_tiles(alpha, _hex_seeds(centers, with_ring=False))
+                    corners.append((u, v))
+        patch = Patch.from_tiles(alpha, _grid_triangles(corners))
         patch.freeze()
         return patch
 
     v1 = hex_lattice_vector(order)
     v2 = v1.rotated(SymbolicAngle(1, 0))
     centers = [c for _i, _j, c in lattice_points(v1, v2, extent + 3.0, rad)]
-    patch = Patch.from_tiles(alpha, _hex_seeds(centers, with_ring=True))
+    patch = Patch.from_tiles(alpha, _hex_seeds(centers))
     whitelist = {patch.add_vertex(c) for c in centers}
 
     def no_stray_hex(p: Patch, _cand, vids) -> bool:

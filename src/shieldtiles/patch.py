@@ -46,6 +46,7 @@ from .errors import (
 )
 from .placement import FloatPoint, Placement
 from .symbolic import (
+    OMEGA_POW,
     Direction,
     ExactPoint,
     SymbolicAngle,
@@ -485,12 +486,12 @@ class Patch:
     def interior_word(self, vid: int) -> str | None:
         """Canonical corner word of a closed star, else None."""
         ivs = self._vertices[vid].intervals
-        return _star_word(ivs) if self._star_verdict(ivs)[1] else None
+        return _star_word(ivs) if _closes(ivs) else None
 
     def _star_verdict(self, ivs) -> tuple[str | None, bool]:
         """(fault, closed) for the corner intervals ivs around one vertex.
 
-        closed is True when the corners close a full turn within TURN_TOL.
+        closed is _closes(ivs): the corners close a full turn within TURN_TOL.
         fault is "overlap" when the corners exceed a full turn, "atlas" when
         they close it but their angles do not solve the vertex equation (the
         atlas holds every arrangement of every solution), else None.  Only a decimal alpha within about 1e-7
@@ -523,8 +524,7 @@ class Patch:
 
     def _scan_gaps(self, vid: int) -> tuple:
         ivs = sorted(self._vertices[vid].intervals)
-        total = sum(iv[1] - iv[0] for iv in ivs)
-        if not ivs or abs(total - TWO_PI) < TURN_TOL:
+        if not ivs or _closes(ivs):
             return _NO_GAPS
         gaps = []
         after = []
@@ -675,6 +675,12 @@ def _disc(xys) -> tuple[float, float, float]:
     return cx, cy, max(math.hypot(x - cx, y - cy) for x, y in xys)
 
 
+def _closes(ivs) -> bool:
+    """True when the corner intervals ivs around one vertex close a full
+    turn within TURN_TOL."""
+    return abs(sum(iv[1] - iv[0] for iv in ivs) - TWO_PI) < TURN_TOL
+
+
 def _star_word(ivs) -> str:
     """Canonical corner word of the corner intervals ivs around one vertex."""
     return canonical_word("".join(iv[5] for iv in sorted(ivs)))
@@ -755,7 +761,8 @@ class PatternBall:
 
     Its keys code each tile by its kind and its corner points, relative to
     the center (see `canonical_key`): the exact center for generic alpha,
-    center_xy for numeric alpha.
+    center_xy for numeric alpha.  The ball codes its frames once, on the
+    first call of key() or orbit_translation_keys(), and keeps the codes.
     """
 
     alpha: AlphaSpec
@@ -763,6 +770,8 @@ class PatternBall:
     center_xy: tuple[float, float]
     radius: float
     tiles: tuple[Placement, ...]
+    # the codes of the ball in every frame of canonical_key, once computed
+    _frames: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
     def key(self) -> str:
         return canonical_key(self)
@@ -774,7 +783,14 @@ class PatternBall:
     def orbit_translation_keys(self) -> frozenset:
         """Translation keys of every image of the ball under the point
         isometries compatible with its own edge directions."""
-        return frozenset(_key_candidates(self, rotations=True))
+        return _orbit(self)
+
+
+def _orbit(ball: PatternBall) -> frozenset:
+    """The ball's codes in every frame, coded on first use and kept."""
+    if ball._frames is None:
+        object.__setattr__(ball, "_frames", frozenset(_key_candidates(ball, True)))
+    return ball._frames
 
 
 def canonical_key(ball: PatternBall, rotations: bool = True) -> str:
@@ -784,8 +800,9 @@ def canonical_key(ball: PatternBall, rotations: bool = True) -> str:
     Algorithms 26, 1998).  Each frame turns one of the tiles' edge
     directions onto the x axis, for the ball and for its mirror image, with
     the center at the origin.  The set moves with the ball, so isometric
-    balls have the same images.  With rotations=False the only frame is the
-    ball as it lies, which keys it up to translation.
+    balls have the same images, and the images are the ball's orbit
+    translation keys.  With rotations=False the only frame is the ball as
+    it lies, which keys it up to translation.
 
     In a frame, a tile is written as its kind and its sorted corner codes.
     A convex polygon is the hull of its corners, so the corner set fixes
@@ -793,7 +810,9 @@ def canonical_key(ball: PatternBall, rotations: bool = True) -> str:
     exact coefficient map for generic alpha and by its coordinates rounded
     to 6 decimals otherwise.
     """
-    return min(_key_candidates(ball, rotations))
+    if rotations:
+        return min(_orbit(ball))
+    return min(_key_candidates(ball, False))
 
 
 def _key_candidates(ball: PatternBall, rotations: bool) -> list[str]:
@@ -846,9 +865,15 @@ def _frame_codes(pts, d: Direction, rad: float | None) -> list[str]:
     """Codes of the points turned by -d: exact points when rad is None,
     else (x, y) pairs rounded to 6 decimals."""
     if rad is None:
-        rot = SymbolicAngle(-d.a, -d.b)
+        # ExactPoint.rotated by -d, inlined: multiply by the unit w^-a and
+        # shift every b by -d.b
+        wu, wv = OMEGA_POW[-d.a % 6]
+        db = d.b
         return [
-            ",".join(f"{b}:{u}:{v}" for b, u, v in p.rotated(rot).coeffs)
+            ",".join(
+                f"{b - db}:{u * wu - v * wv}:{u * wv + v * wu + v * wv}"
+                for b, u, v in p.coeffs
+            )
             for p in pts
         ]
     t = d.value(rad)

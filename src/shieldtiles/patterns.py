@@ -383,7 +383,11 @@ def complete_ball(
     try:
         for cfg in sorted(atlas_configs(alpha)):
             search(star_placements(cfg.word, ORIGIN), n, on_solution=record)
-            for ball in new_balls:
+            # taken off the list one at a time, so that a ball whose key is
+            # known already is dropped, with its frame codes, once keyed
+            new_balls.reverse()
+            while new_balls:
+                ball = new_balls.pop()
                 key = ball.key()
                 if key in found or key in refuted:
                     continue
@@ -391,7 +395,6 @@ def complete_ball(
                     found[key] = ball
                 else:
                     refuted.add(key)
-            new_balls.clear()
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             "node budget exhausted", partial=set(found.values())

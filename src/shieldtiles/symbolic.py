@@ -99,15 +99,29 @@ class ExactPoint:
         )
         return ExactPoint(items)
 
-    def to_dict(self) -> dict[int, tuple[int, int]]:
-        return {b: (u, v) for b, u, v in self.coeffs}
-
     def _combine(self, other: "ExactPoint", sign: int) -> "ExactPoint":
-        d = self.to_dict()
-        for b, u, v in other.coeffs:
-            cu, cv = d.get(b, (0, 0))
-            d[b] = (cu + sign * u, cv + sign * v)
-        return ExactPoint.from_dict(d)
+        # merge the two sorted coefficient tuples, dropping zero sums
+        xs, ys = self.coeffs, other.coeffs
+        out = []
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            bx, ux, vx = xs[i]
+            by, uy, vy = ys[j]
+            if bx < by:
+                out.append(xs[i])
+                i += 1
+            elif by < bx:
+                out.append((by, sign * uy, sign * vy))
+                j += 1
+            else:
+                u, v = ux + sign * uy, vx + sign * vy
+                if u or v:
+                    out.append((bx, u, v))
+                i += 1
+                j += 1
+        out.extend(xs[i:])
+        out.extend((b, sign * u, sign * v) for b, u, v in ys[j:])
+        return ExactPoint(tuple(out))
 
     def __add__(self, other: "ExactPoint") -> "ExactPoint":
         return self._combine(other, 1)

@@ -98,7 +98,7 @@ def test_triangle_order_sweep(alpha, order):
 
 def _hex_stars(alpha, centers) -> Patch:
     """The hex star and its ring of six shields at each center."""
-    return Patch.from_tiles(alpha, _hex_seeds(centers, with_ring=True))
+    return Patch.from_tiles(alpha, _hex_seeds(centers))
 
 
 @pytest.mark.parametrize("order", [2, 3])

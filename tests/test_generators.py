@@ -117,6 +117,20 @@ def test_dodecagon_window_placements_pinned(filling, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_grid_window_places_each_triangle_once_in_order():
+    # each grid triangle is proposed only at its first corner; the ordered
+    # placements were pinned when every corner proposed it and repeats were
+    # dropped by corner set
+    patch = gen_triangle_tiling(0, 4, GENERIC)
+    text = repr([(t.kind, t.anchor.coeffs, t.heading.a, t.heading.b)
+                 for t in patch.tiles])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e0cc19ea9428efee1dc74ae6e2f43a08c138e3fc47da79b0ebe6281b46c6b933"
+    )
+    corner_sets = {frozenset(t.corner_points()) for t in patch.tiles}
+    assert len(corner_sets) == len(patch) == 290
+
+
 def test_line_word_is_bottom_to_top():
     # mixed word produces at least one fault seam between adjacent lines
     patch = gen_line_tiling("+-", 3, GENERIC)

@@ -232,6 +232,9 @@ def assert_state_matches_fresh_scan(patch):
     for vid in patch.vertex_ids():
         assert patch._gap_scan(vid) == patch._scan_gaps(vid)
         assert isinstance(patch.gaps(vid), tuple)
+        # interior_word reads the closed flag of the full star verdict
+        closed = patch._star_verdict(patch._vertices[vid].intervals)[1]
+        assert (patch.interior_word(vid) is not None) == closed
 
 
 # edges of the tiles at the center lie at distances sqrt(3)/2 and 1

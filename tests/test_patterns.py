@@ -9,6 +9,7 @@ from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import LABEL_ANGLES, atlas_configs, atlas_words
 from shieldtiles.errors import AtlasViolation, BudgetExceeded
 from shieldtiles.generators import DodecagonChoice, gen_dodecagon_tiling
+from shieldtiles import patch as patch_module
 from shieldtiles.patch import Patch, _star_word
 from shieldtiles.placement import Placement
 from shieldtiles.patterns import (
@@ -35,6 +36,7 @@ from shieldtiles.symbolic import (
 )
 
 RIGHT = make_alpha("rational", 1, 2)
+DECIMAL = make_alpha("decimal", 110.3)
 DODECA_DIAMETER = 1.0 / math.sin(math.pi / 12.0)  # unit-edge circumdiameter
 
 
@@ -85,13 +87,64 @@ def test_pattern_keys_pinned(n, alpha, count, digest):
     assert _keys_digest(res.patterns) == digest
 
 
-@pytest.mark.parametrize("n, alpha", [(1.0, GENERIC), (0.6, RIGHT)])
+# pinned when each ball still coded its frames once for its key and again
+# for its orbit; pi/2 at n = 1 is pinned in test_right_shield_two_rings
+@pytest.mark.parametrize("n, alpha, counts, digest", [
+    (2.0, GENERIC, (19, 389),
+     "44a74ba0b4c887e374eaba8942b89c12993e11eb0336bdb73d4a618d50986aec"),
+    (1.0, DECIMAL, (7, 101),
+     "e8865c9d71b513a33f5720701522791cb5e28fd14ae9ec39e2e54006b9edeeff"),
+], ids=["generic-n2", "110.3deg-n1"])
+def test_pattern_counts_and_keys_pinned(n, alpha, counts, digest):
+    res = count_patterns(n, alpha)
+    assert res.complete
+    assert (res.count, res.translation_count) == counts
+    assert _keys_digest(res.patterns) == digest
+
+
+@pytest.mark.parametrize("n, alpha", [(1.0, GENERIC), (0.6, RIGHT), (1.0, DECIMAL)])
 def test_key_is_least_orbit_translation_key(n, alpha):
     # count_patterns takes each ball's key from the orbit it computes
     balls = complete_ball(alpha, n)
     for b in balls:
         assert b.key() == min(b.orbit_translation_keys())
     assert count_patterns(n, alpha).patterns == {b.key() for b in balls}
+
+
+@pytest.mark.parametrize("n, alpha", [(1.0, GENERIC), (0.6, RIGHT), (1.0, DECIMAL)])
+def test_each_ball_codes_its_frames_once(monkeypatch, n, alpha):
+    # complete_ball keys every ball it extracts, coding each of its frames
+    # once; count_patterns then reads the orbits without coding again
+    extracted, keyed = [], []
+    coded = Counter()
+    extract, candidates, codes = (
+        Patch.extract_ball, patch_module._key_candidates, patch_module._frame_codes
+    )
+
+    def counted_extract(self, vid, radius):
+        extracted.append(extract(self, vid, radius))
+        return extracted[-1]
+
+    def counted_candidates(ball, rotations):
+        out = candidates(ball, rotations)
+        keyed.append((ball, len(out)))
+        return out
+
+    def counted_codes(*args):
+        coded["frames"] += 1
+        return codes(*args)
+
+    monkeypatch.setattr(Patch, "extract_ball", counted_extract)
+    monkeypatch.setattr(patch_module, "_key_candidates", counted_candidates)
+    monkeypatch.setattr(patch_module, "_frame_codes", counted_codes)
+    complete_ball(alpha, n)
+    assert len(keyed) == len(extracted) > 0
+    assert all(b is e for (b, _), e in zip(keyed, extracted))
+    frames = sum(k for _b, k in keyed)
+    assert coded["frames"] == frames
+    coded.clear()
+    count_patterns(n, alpha)
+    assert coded["frames"] == frames
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +253,14 @@ def test_star_completable_agrees_with_the_partial_star_matcher(monkeypatch):
         (1.0, GENERIC),
         (0.6, RIGHT),
         (1.0, make_alpha("rational", 5, 12)),
-        (1.0, make_alpha("decimal", 110.3)),
+        (1.0, DECIMAL),
     ]:
         assert count_patterns(n, alpha, keep=False).complete
     assert outcomes[True] and outcomes[False]
 
 
 @pytest.mark.parametrize("alpha", [
-    GENERIC, RIGHT, make_alpha("rational", 5, 12), make_alpha("decimal", 110.3),
+    GENERIC, RIGHT, make_alpha("rational", 5, 12), DECIMAL,
 ])
 def test_star_completable_agrees_with_the_matcher_on_two_gap_stars(alpha):
     # the searches above meet no star with two open gaps: here every short
@@ -390,7 +443,7 @@ def test_star_verdict_agrees_with_the_atlas_words(monkeypatch):
         (1.0, GENERIC),
         (0.6, RIGHT),
         (1.0, make_alpha("rational", 5, 12)),
-        (1.0, make_alpha("decimal", 110.3)),
+        (1.0, DECIMAL),
     ):
         assert count_patterns(n, alpha, keep=False).complete
     # four sharp corners a microdegree above pi/2 close a turn within the

@@ -44,6 +44,11 @@ directions = st.builds(
 )
 
 
+def _normalized(p: ExactPoint) -> ExactPoint:
+    """p rebuilt from its coefficient map: sorted, with no zero entries."""
+    return ExactPoint.from_dict({b: (u, v) for b, u, v in p.coeffs})
+
+
 def test_corner_angle_constants():
     # the three tile corner angles: alpha, beta = 4pi/3 - alpha, pi/3
     assert ANGLE_A.value(ALPHA) == pytest.approx(ALPHA)
@@ -94,13 +99,13 @@ def test_rotation_matches_numeric(p, ang):
     assert qy == pytest.approx(ry, abs=1e-9)
     # vertex identity and keys compare coefficient tuples: q must be in the
     # canonical form (sorted, no zero entries)
-    assert q == ExactPoint.from_dict(q.to_dict())
+    assert q == _normalized(q)
 
 
 @given(points)
 def test_conjugation_involution(p):
     assert p.conj().conj() == p
-    assert p.conj() == ExactPoint.from_dict(p.conj().to_dict())
+    assert p.conj() == _normalized(p.conj())
     x, y = p.xy(ALPHA)
     cx, cy = p.conj().xy(ALPHA)
     assert cx == pytest.approx(x, abs=1e-9)
@@ -117,6 +122,23 @@ def test_point_group_laws(p, q):
     assert p + q == q + p
     assert (p + q) - q == p
     assert p - p == ExactPoint()
+
+
+def _combined_by_map(p: ExactPoint, q: ExactPoint, sign: int) -> ExactPoint:
+    # the reference: add q's coefficient map, times sign, into p's
+    d = {b: (u, v) for b, u, v in p.coeffs}
+    for b, u, v in q.coeffs:
+        cu, cv = d.get(b, (0, 0))
+        d[b] = (cu + sign * u, cv + sign * v)
+    return ExactPoint.from_dict(d)
+
+
+@given(points, points)
+def test_sum_and_difference_match_the_coefficient_map_sum(p, q):
+    assert (p + q).coeffs == _combined_by_map(p, q, 1).coeffs
+    assert (p - q).coeffs == _combined_by_map(p, q, -1).coeffs
+    # equal b with opposite coefficients cancel
+    assert (p + (-p)).coeffs == ()
 
 
 def test_full_turn_check_generic_and_rational():
