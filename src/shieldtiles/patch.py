@@ -92,6 +92,9 @@ class _Vertex:
     __slots__ = ("point", "xy", "intervals")
 
     def __init__(self, point, xy):
+        # the exact point, None for a numeric anchor, or, at numeric alpha,
+        # (tile, corner index) of the tile that made the vertex until
+        # vertex_point asks for the point
         self.point = point
         self.xy = xy
         # interval: (start_rad, end_rad, start_dir, angle, tile_idx, label),
@@ -192,11 +195,14 @@ class Patch:
     # -- geometry helpers ------------------------------------------------
 
     def _corners(self, pl: Placement):
-        """(corner coordinates, exact corner points or Nones) of a tile."""
+        """(corner coordinates, exact corner points or Nones) of a tile.
+
+        Only generic alpha identifies vertices by their exact points; a
+        numeric patch computes a vertex's point when vertex_point asks."""
         if not pl.is_exact and self.exact_keys:
             raise ValueError("numeric anchors require numeric alpha")
         xys = pl.corner_xy(self.eval_rad)
-        pts = pl.corner_points() if pl.is_exact else [None] * len(xys)
+        pts = pl.corner_points() if self.exact_keys else [None] * len(xys)
         return xys, pts
 
     def _tile_ids_near(self, x, y):
@@ -349,10 +355,10 @@ class Patch:
             disc = _disc(xys)
         old = len(self._vertices)
         journal = []
-        for xy, pt, vid in zip(xys, pts, vids):
+        for i, (xy, pt, vid) in enumerate(zip(xys, pts, vids)):
             if vid >= old:
                 # new vertices are made in the order of their tentative ids
-                self._make_vid(xy, pt, journal)
+                self._make_vid(xy, (pl, i) if pt is None else pt, journal)
         tidx = len(self.tiles)
         self.tiles.append(pl)
         self._tile_vids.append(vids)
@@ -461,7 +467,14 @@ class Patch:
         return self._vertices[vid].xy
 
     def vertex_point(self, vid: int):
-        return self._vertices[vid].point
+        """The exact point of a vertex, None if its tile has a numeric
+        anchor.  At numeric alpha it is the point of the corner that made
+        the vertex."""
+        v = self._vertices[vid]
+        if type(v.point) is tuple:
+            pl, i = v.point
+            v.point = pl.corner_points()[i] if pl.is_exact else None
+        return v.point
 
     def tile_vertices(self, tid: int) -> tuple[int, ...]:
         """Vertex ids of a tile's corners, anchor first."""
@@ -657,7 +670,7 @@ class Patch:
         ]
         return PatternBall(
             alpha=self.alpha,
-            center=self._vertices[vid].point,
+            center=self.vertex_point(vid),
             center_xy=(cx, cy),
             radius=n,
             tiles=tuple(tiles),
@@ -863,7 +876,7 @@ def _key_candidates(ball: PatternBall, rotations: bool) -> list[str]:
 
 def _frame_codes(pts, d: Direction, rad: float | None) -> list[str]:
     """Codes of the points turned by -d: exact points when rad is None,
-    else (x, y) pairs rounded to 6 decimals."""
+    else (x, y) pairs rounded to 6 decimals, each written with 6."""
     if rad is None:
         # ExactPoint.rotated by -d, inlined: multiply by the unit w^-a and
         # shift every b by -d.b
@@ -878,7 +891,9 @@ def _frame_codes(pts, d: Direction, rad: float | None) -> list[str]:
         ]
     t = d.value(rad)
     c, s = math.cos(t), math.sin(t)
+    # :.6f rounds the exact binary value correctly, half to even, as
+    # round(v, 6) does; a coordinate that rounds to 0 is written unsigned
     return [
-        f"{round(x * c + y * s, 6) + 0.0:.6f}:{round(y * c - x * s, 6) + 0.0:.6f}"
+        f"{x * c + y * s:.6f}:{y * c - x * s:.6f}".replace("-0.000000", "0.000000")
         for x, y in pts
     ]

@@ -3,11 +3,12 @@
 The engine fills angular gaps one at a time.  At the chosen gap there are
 exactly three ways to place a tile flush against the gap's starting ray
 (triangle corner, shield sharp corner, shield wide corner), so depth-first
-search over those choices is exhaustive.  A branch is cut when a gap at a
-touched vertex cannot be written as a non-negative combination of corner
-angles: that is exactly when the partial vertex star extends to no atlas
-word (see star_completable).  A dead branch jumps straight back to the
-latest tile it depends on (see _Search.run).
+search over those choices is exhaustive.  It chooses first a gap that
+admits the fewest of the three (see _DiskFrontier).  A branch is cut when
+a gap at a touched vertex cannot be written as a non-negative combination
+of corner angles: that is exactly when the partial vertex star extends to
+no atlas word (see star_completable).  A dead branch jumps straight back
+to the latest tile it depends on (see _Search.run).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cache
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec, make_alpha
-from .atlas import VertexConfig, atlas_configs, gap_feasible
+from .atlas import LABEL_ANGLES, VertexConfig, atlas_configs, gap_feasible
 from .errors import BudgetExceeded, ShieldError
 from .patch import GEOM_TOL, Patch, PatternBall
 from .placement import (
@@ -123,16 +124,13 @@ class _Search:
         nodes.
         """
         p = self.patch
-        nearest = self.frontier()
-        if nearest is None:
+        chosen = self.frontier()
+        if chosen is None:
             if self.on_solution is None:
                 return True
             self.on_solution(p)
             return None
-        d2, vid = nearest
-        start_dir, _sym, _gn = min(
-            p.gaps(vid), key=lambda g: g[0].value(p.eval_rad) % (2 * math.pi)
-        )
+        d2, vid, (start_dir, _sym, _gn) = chosen
         point = p.vertex_point(vid)
         me = len(p)  # index of the tile this node places
         refused = []
@@ -180,41 +178,73 @@ class _Search:
         return self.tile_filter is None or self.tile_filter(p, cand, vids)
 
 
+@cache
+def admitted_labels(gap: SymbolicAngle, alpha: AlphaSpec) -> str:
+    """The corner labels, of T, A and B, that a tile flush against the start
+    ray of a gap can put into it: those whose angle leaves the gap 0 or
+    feasible."""
+    return "".join(
+        lab for lab in "TAB" if gap_feasible(gap - LABEL_ANGLES[lab], alpha)
+    )
+
+
 def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
     return [placement_with_corner(*LABEL_CORNERS[lab], point, d) for lab in "TAB"]
 
 
+# heap rank of a vertex beyond must_close; a vertex within it ranks by the
+# fewest flush labels, 0 to 3, that one of its gaps admits
+_BEYOND = 4
+
+
 class _DiskFrontier:
-    """Nearest gap-bearing end of a boundary edge that meets a disk.
+    """The open vertex to fill next, in a disk.
 
-    Calling it returns (dist2, vid), or None when no boundary edge meets
-    the disk.  It holds, for each vertex, how many boundary edges at that
-    vertex meet the disk.  The counts are scanned from
-    patch.boundary_edges() once; after that the search that owns it
-    reports each tile just added (add) and each pop (pop), last in, first
-    out.  An edge of an added tile that meets the disk and is now a
-    boundary edge was brought in by the tile (+1 at both ends); any other
-    such edge was closed by it (-1).  A pop undoes the latest add.
+    Calling it returns (dist2, vid, gap), or None when no boundary edge
+    meets the disk.  Among the open vertices within must_close of the
+    center, which close in every completion, it takes the one whose gaps
+    admit the fewest flush labels (see admitted_labels), ties by distance
+    and then by id, and there the gap that admits the fewest, ties by
+    least start direction: the fail-first choice of Haralick and Elliott
+    (Artificial Intelligence 14, 1980).  With no open vertex that near, it
+    takes the nearest gap-bearing end of a boundary edge that meets the
+    disk, and its gap of least start direction.
 
-    A heap of (dist2, vid) holds every counted vertex with gaps.  A vertex
-    is pushed when its count rises from 0, and when a tile at it is popped,
-    the only way its gaps can come back.  A call drops entries from the
-    top until one is counted, has gaps and has the vertex's dist2 (a
-    popped vertex's id is reused).  Stale entries are dropped in a rebuild
-    from the counts once they outnumber them.
+    It holds, for each vertex, how many boundary edges at that vertex meet
+    the disk.  The counts are scanned from patch.boundary_edges() once;
+    after that the search that owns it reports each tile just added (add)
+    and each pop (pop), last in, first out.  An edge of an added tile that
+    meets the disk and is now a boundary edge was brought in by the tile
+    (+1 at both ends); any other such edge was closed by it (-1).  A pop
+    undoes the latest add.
+
+    A heap of (labels, dist2, vid), labels _BEYOND past must_close, holds
+    every counted vertex with gaps.  A count and the gaps of a vertex
+    change only when a tile at it is added or popped, so each counted
+    vertex of the tile is pushed then.  A call drops entries from the top
+    until one equals the vertex's entry now (a popped vertex's id is
+    reused) and the vertex has gaps.  Stale entries are dropped in a
+    rebuild from the counts once they outnumber them.
     """
 
     def __init__(self, patch: Patch, center_xy, radius: float):
         self.patch = patch
         self.cx, self.cy = center_xy
         self.radius = radius
+        # a vertex in the closed disk closes in every completion, since each
+        # edge at it meets the disk: half of GEOM_TOL is more than float
+        # rounding can take off the radius + GEOM_TOL test of _meets
+        self.must_close = radius + GEOM_TOL / 2
+        self.close2 = self.must_close ** 2
         self.boundary = patch.boundary_edges()  # live view
         self.counts = {}  # vid -> boundary edges at it that meet the disk
-        self.heap = []
         for u, v in self.boundary:
             if self._meets(u, v):
                 self._bump(u, 1)
                 self._bump(v, 1)
+        self.heap = []
+        for w in self.counts:
+            self._push(w)
         self.changes = []  # (vids, ((u, v, +-1), ...)) per reported tile
 
     def _meets(self, u, v) -> bool:
@@ -224,21 +254,32 @@ class _DiskFrontier:
         ) <= self.radius + GEOM_TOL
 
     def _entry(self, w):
+        """(labels, dist2, w), or None for a vertex within must_close that
+        has no gaps."""
         x, y = self.patch.vertex_xy(w)
-        return (x - self.cx) ** 2 + (y - self.cy) ** 2, w
+        d2 = (x - self.cx) ** 2 + (y - self.cy) ** 2
+        if d2 > self.close2:
+            return _BEYOND, d2, w
+        gaps = self.patch.gaps(w)
+        if not gaps:
+            return None
+        alpha = self.patch.alpha
+        return min(len(admitted_labels(g[1], alpha)) for g in gaps), d2, w
 
     def _push(self, w):
-        heapq.heappush(self.heap, self._entry(w))
+        entry = self._entry(w)
+        if entry is None:
+            return
+        heapq.heappush(self.heap, entry)
         if len(self.heap) > 2 * len(self.counts) + 64:
-            self.heap = [self._entry(v) for v in self.counts]
+            entries = (self._entry(v) for v in self.counts)
+            self.heap = [e for e in entries if e is not None]
             heapq.heapify(self.heap)
 
     def _bump(self, w, step):
         c = self.counts.get(w, 0) + step
         if c:
             self.counts[w] = c
-            if c == step:
-                self._push(w)
         else:
             del self.counts[w]
 
@@ -255,6 +296,9 @@ class _DiskFrontier:
                 self._bump(v, step)
                 changes.append((u, v, step))
         self.changes.append((vids, changes))
+        for w in vids:
+            if w in self.counts:
+                self._push(w)
 
     def pop(self):
         """Undo the latest add, once its tile is popped."""
@@ -267,11 +311,21 @@ class _DiskFrontier:
                 self._push(w)
 
     def __call__(self):
+        p = self.patch
         heap = self.heap
         while heap:
-            w = heap[0][1]
-            if w in self.counts and heap[0] == self._entry(w) and self.patch.gaps(w):
-                return heap[0]
+            top = heap[0]
+            w = top[2]
+            gaps = p.gaps(w) if w in self.counts and top == self._entry(w) else ()
+            if gaps:
+                rad = p.eval_rad
+                if top[0] == _BEYOND:
+                    gap = min(gaps, key=lambda g: g[0].value(rad))
+                else:
+                    gap = min(gaps, key=lambda g: (
+                        len(admitted_labels(g[1], p.alpha)), g[0].value(rad)
+                    ))
+                return top[1], w, gap
             heapq.heappop(heap)
         return None
 
@@ -298,18 +352,17 @@ def fill_disk(
     it must look only at tiles touching it, and refuse whatever it refused
     before once more tiles are placed.
 
-    A dead branch backjumps (see _Search.run).  A vertex in the closed disk
-    closes in every completion, since each edge at it meets the disk: half
-    of GEOM_TOL is more than float rounding can take off the frontier's
-    radius + GEOM_TOL test.
+    The search fills first the gap that admits the fewest tiles (see
+    _DiskFrontier), and a dead branch backjumps (see _Search.run).
     """
+    frontier = _DiskFrontier(patch, patch.vertex_xy(center_vid), radius)
     s = _Search(
         patch=patch,
-        frontier=_DiskFrontier(patch, patch.vertex_xy(center_vid), radius),
+        frontier=frontier,
         budget=_as_budget(budget),
         tile_filter=tile_filter,
         on_solution=on_solution,
-        must_close=radius + GEOM_TOL / 2,
+        must_close=frontier.must_close,
     )
     return s.run() is True
 
@@ -329,7 +382,8 @@ def complete_ball(
     """All pattern balls of radius n around a tiling vertex that occur
     inside completions of the radius n + margin disk.
 
-    The center vertex sits at the origin of a patch of the function's own.
+    The center vertex sits at the origin.  Each search runs on a patch of
+    its own, built from its first tiles with Patch.from_tiles.
     The margin discards local configurations that close the disk but cannot
     grow any further.  Two steps, both run by fill_disk:
 
@@ -361,28 +415,26 @@ def complete_ball(
     raised carrying the witnessed balls found so far.
     """
     nodes = _as_budget(budget)
-    patch = Patch(alpha)
-    center = patch.add_vertex(ORIGIN)
     found: dict[str, PatternBall] = {}
     refuted: set[str] = set()
     new_balls: list[PatternBall] = []
 
-    def record(p: Patch):
-        # an empty frontier leaves no boundary edge within n + GEOM_TOL of
-        # the center, so the ball is covered
-        new_balls.append(p.extract_ball(center, n))
+    def search(tiles, radius: float, list_balls: bool = False) -> bool:
+        # a patch of the search's own, validated once and dropped after it
+        patch = Patch.from_tiles(alpha, tiles)
+        center = patch.add_vertex(ORIGIN)
 
-    def search(tiles, radius: float, **kw) -> bool:
-        for t in tiles:
-            patch.add_tile(t)
-        done = fill_disk(patch, center, radius, budget=nodes, **kw)
-        while len(patch):
-            patch.pop_tile()
-        return done
+        def record(p: Patch):
+            # an empty frontier leaves no boundary edge within n + GEOM_TOL
+            # of the center, so the ball is covered
+            new_balls.append(p.extract_ball(center, n))
+
+        return fill_disk(patch, center, radius, budget=nodes,
+                         on_solution=record if list_balls else None)
 
     try:
         for cfg in sorted(atlas_configs(alpha)):
-            search(star_placements(cfg.word, ORIGIN), n, on_solution=record)
+            search(star_placements(cfg.word, ORIGIN), n, list_balls=True)
             # taken off the list one at a time, so that a ball whose key is
             # known already is dropped, with its frame codes, once keyed
             new_balls.reverse()

@@ -6,7 +6,7 @@ import pytest
 
 from shieldtiles import generators, patterns
 from shieldtiles.alpha import GENERIC, make_alpha
-from shieldtiles.classify import vertex_census
+from shieldtiles.classify import classify, vertex_census
 from shieldtiles.generators import (
     DodecagonChoice,
     gen_dodecagon_tiling,
@@ -115,6 +115,36 @@ def test_dodecagon_window_placements_pinned(filling, digest):
     text = repr([(t.kind, t.anchor.coeffs, t.heading.a, t.heading.b)
                  for t in patch.tiles])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The triangle windows of the benchmark's windows workload at seeds 1-5:
+# GENERIC and each seed's decimal alpha, orders 0-4, extent 8.  Pinned, per
+# alpha, over the orders, when the search still filled the nearest open
+# vertex first; the gap order moves the tiles' placement order, not the
+# tiles.
+@pytest.mark.parametrize("alpha, digest", [
+    (GENERIC, "35cce6df23f53daea176f90240525e4fa8b9696fe36d5e94498f82a938d687dc"),
+    (make_alpha("decimal", 106.34),
+     "02b084dbaef926a42b44bbb8ea44e946cb0a7b12665ef643deb8d8711a935bbf"),
+    (make_alpha("decimal", 114.56),
+     "6f5682921827cb3e90d7facbaacbc29e4188060ebcba6d451956d6018cee4157"),
+    (make_alpha("decimal", 107.38),
+     "0376f4bd2a50b8a234464da7898526af40cb71b15403425422256916c757775d"),
+    (make_alpha("decimal", 107.36),
+     "24ac3dfccbb4ee23c8055e5d775225926269845e98754be77edb125280b8a9c9"),
+    (make_alpha("decimal", 111.23),
+     "255dc11afa5ab434d73fcc1e27531c30511bcd393a65534d76bd37a497b5a438"),
+], ids=str)
+def test_triangle_window_tiles_and_classification_pinned(alpha, digest):
+    digests = []
+    for order in range(5):
+        patch = gen_triangle_tiling(order, 8, alpha)
+        verdict = classify(patch)
+        assert (verdict.family, verdict.order, verdict.complete) == (
+            "Triangle", order, True
+        )
+        digests.append(_geometry_digest(patch))
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == digest
 
 
 def test_grid_window_places_each_triangle_once_in_order():

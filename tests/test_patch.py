@@ -286,6 +286,40 @@ def test_float_anchored_ball_keys_like_its_exact_twin():
     assert twin.orbit_translation_keys() == ball.orbit_translation_keys()
 
 
+def _double_rounded_codes(pts, d, rad):
+    """The numeric frame codes as first written: round(v, 6), then :.6f."""
+    t = d.value(rad)
+    c, s = math.cos(t), math.sin(t)
+    return [
+        f"{round(x * c + y * s, 6) + 0.0:.6f}:{round(y * c - x * s, 6) + 0.0:.6f}"
+        for x, y in pts
+    ]
+
+
+def test_numeric_frame_codes_round_once_as_they_rounded_twice():
+    # :.6f alone rounds the exact binary value as round(v, 6) does; only a
+    # coordinate that rounds to -0 must be written unsigned
+    rng = random.Random(18)
+    values = (
+        [rng.uniform(-6, 6) for _ in range(4000)]
+        + [rng.uniform(-2e-6, 2e-6) for _ in range(2000)]  # near 0
+        + [rng.randint(-60_000_000, 60_000_000) / 1e7 for _ in range(4000)]
+        + [k / 128 for k in range(-800, 801)]  # exact ties at 6 decimals
+        + [0.0, -0.0, 5e-7, -5e-7, 4.9999999e-7, -4.9999999e-7]
+    )
+    pts = list(zip(values, reversed(values)))
+    rad = ALPHA_NUM.eval_radians()
+    directions = [Direction(0, 0)] + [
+        Direction.of(a, b) for a in range(6) for b in (-1, 1)
+    ]
+    for d in directions:
+        got = patch_module._frame_codes(pts, d, rad)
+        assert got == _double_rounded_codes(pts, d, rad)
+    codes = patch_module._frame_codes(pts, Direction(0, 0), rad)
+    assert "0.000000:0.000000" in codes
+    assert not any(c.startswith("-0.000000") or ":-0.000000" in c for c in codes)
+
+
 def test_validate_reports_open_gap_vertices():
     patch = Patch(GENERIC)
     patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from shieldtiles import _puregeom, patterns
 from shieldtiles.alpha import GENERIC, make_alpha
-from shieldtiles.atlas import atlas_words, canonical_word
+from shieldtiles.atlas import LABEL_ANGLES, atlas_words, canonical_word, gap_feasible
 from shieldtiles.errors import (
     AtlasViolation,
     EdgeMismatchError,
@@ -182,21 +182,45 @@ def reference_vertex_verdict(patch, point, bare):
 
 
 def reference_frontier(patch, center_xy, radius):
-    """The disk frontier as a full scan: the least (dist2, vid) among the
-    ends of the boundary edges that meet the disk and have a gap."""
+    """The disk frontier as a full scan of the boundary edges that meet the
+    disk.  Among their ends with a gap within radius + GEOM_TOL/2 of the
+    center: the least (fewest labels over its gaps, dist2, vid), with its
+    gap of fewest labels, then least start.  With none, the least (dist2,
+    vid) among all their ends with a gap, with its gap of least start."""
     cx, cy = center_xy
-    best = None
+    ends = set()
     for u, v in patch.boundary_edges():
         ax, ay = patch.vertex_xy(u)
         bx, by = patch.vertex_xy(v)
-        if _puregeom.point_segment_dist(cx, cy, ax, ay, bx, by) > radius + GEOM_TOL:
-            continue
-        for w in (u, v):
-            x, y = patch.vertex_xy(w)
-            cand = ((x - cx) ** 2 + (y - cy) ** 2, w)
-            if (best is None or cand < best) and patch.gaps(w):
-                best = cand
-    return best
+        if _puregeom.point_segment_dist(cx, cy, ax, ay, bx, by) <= radius + GEOM_TOL:
+            ends.update((u, v))
+    rad = patch.eval_rad
+
+    def labels(gap):
+        return sum(
+            gap_feasible(gap[1] - LABEL_ANGLES[lab], patch.alpha) for lab in "TAB"
+        )
+
+    def start(gap):
+        return gap[0].value(rad) % TWO_PI
+
+    open_ends = []
+    for w in ends:
+        x, y = patch.vertex_xy(w)
+        if patch.gaps(w):
+            open_ends.append(((x - cx) ** 2 + (y - cy) ** 2, w))
+    must_close = [
+        (min(labels(g) for g in patch.gaps(w)), d2, w)
+        for d2, w in open_ends
+        if d2 <= (radius + GEOM_TOL / 2) ** 2
+    ]
+    if must_close:
+        _n, d2, w = min(must_close)
+        return d2, w, min(patch.gaps(w), key=lambda g: (labels(g), start(g)))
+    if open_ends:
+        d2, w = min(open_ends)
+        return d2, w, min(patch.gaps(w), key=start)
+    return None
 
 
 # -- fresh scans of the incremental state ----------------------------------

@@ -10,6 +10,7 @@ from shieldtiles.atlas import LABEL_ANGLES, atlas_configs, atlas_words
 from shieldtiles.errors import AtlasViolation, BudgetExceeded
 from shieldtiles.generators import DodecagonChoice, gen_dodecagon_tiling
 from shieldtiles import patch as patch_module
+from shieldtiles import patterns
 from shieldtiles.patch import Patch, _star_word
 from shieldtiles.placement import Placement
 from shieldtiles.patterns import (
@@ -156,9 +157,10 @@ def test_right_shield_two_rings(right_two_rings):
     res = right_two_rings
     assert res.complete
     assert (res.count, res.translation_count) == (52, 1028)
-    # a key that the margin search refuted is not searched again; dead
-    # branches backjump (the chronological search took 2683 nodes)
-    assert res.nodes == 2338
+    # a key that the margin search refuted is not searched again; the
+    # search fills the gap with the fewest admitted tiles first, and dead
+    # branches backjump (the chronological search took 1739 nodes)
+    assert res.nodes == 1725
     assert _keys_digest(res.patterns) == (
         "ce53dc26df87918e98ebdb45e5a22b00e0e944140f32bab971a6495bac736930"
     )
@@ -283,11 +285,39 @@ def test_star_completable_agrees_with_the_matcher_on_two_gap_stars(alpha):
     assert outcomes[True, True] and outcomes[True, False]
 
 
-@pytest.mark.parametrize("n, alpha, nodes", [(0.6, RIGHT, 99), (1.0, GENERIC, 318)])
+@pytest.mark.parametrize("n, alpha, nodes", [(0.6, RIGHT, 96), (1.0, GENERIC, 303)])
 def test_search_nodes_pinned(n, alpha, nodes):
     # each center star is searched once up to isometry, and its own tiles
     # spend no nodes; a center star searched twice shows here
     assert count_patterns(n, alpha, keep=False).nodes == nodes
+
+
+class _NearestFirst(patterns._DiskFrontier):
+    """The frontier without fail-first: every vertex ranks as one beyond
+    must_close, so every call takes the nearest open vertex and its gap of
+    least start direction."""
+
+    def _entry(self, w):
+        x, y = self.patch.vertex_xy(w)
+        return patterns._BEYOND, (x - self.cx) ** 2 + (y - self.cy) ** 2, w
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5])
+@pytest.mark.parametrize("alpha", [
+    GENERIC, RIGHT, DECIMAL, make_alpha("decimal", 75.3),
+], ids=str)
+def test_fail_first_finds_the_nearest_first_balls(monkeypatch, alpha, n):
+    # the gap order changes the search tree, not the balls
+    fail_first = count_patterns(n, alpha)
+    monkeypatch.setattr(patterns, "_DiskFrontier", _NearestFirst)
+    nearest_first = count_patterns(n, alpha)
+    assert fail_first.complete and nearest_first.complete
+    assert (fail_first.count, fail_first.translation_count) == (
+        nearest_first.count, nearest_first.translation_count
+    )
+    assert fail_first.patterns == nearest_first.patterns
+    # and on each of these inputs fail-first takes fewer nodes
+    assert fail_first.nodes < nearest_first.nodes
 
 
 def test_dodecagon_fillings_exactly_three():
