@@ -27,13 +27,6 @@ def _exceptional_fractions() -> tuple[Fraction, ...]:
     return tuple(sorted(spec.frac for spec in exceptional_alphas()))
 
 
-def __getattr__(name: str):
-    # EXCEPTIONAL_FRACTIONS is computed on first use, once atlas can load
-    if name == "EXCEPTIONAL_FRACTIONS":
-        return _exceptional_fractions()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 #: numeric alpha used to draw or order generic patches; any value in the
 #: open interval works, 99 degrees keeps generic output visually distinct
 #: from the disk-packing value 99.34.

@@ -128,14 +128,6 @@ def _fault_line(patch: Patch, verts: list[int], termini) -> FaultLine:
     return FaultLine(tuple(verts), direction, termini)
 
 
-def trace_fault_line(patch: Patch, v: int) -> FaultLine:
-    """Maximal chain of fault vertices through v (shield-shield and
-    triangle-triangle edges alternate along the chain)."""
-    if patch.interior_word(v) != FAULT_WORD:
-        raise ValueError(f"vertex {v} is not an interior fault vertex")
-    return next(fl for fl in fault_lines(patch) if v in fl.vertices)
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -165,124 +157,81 @@ def canonical_orientation_word(word: str) -> str:
     return min(word, word[::-1], flip, flip[::-1])
 
 
-def _shield_centroids(patch: Patch):
-    rad = patch.eval_rad
-    out = []
-    for i, t in enumerate(patch.tiles):
-        if t.kind != "S":
-            continue
-        pts = t.corner_xy(rad)
-        out.append((i, (sum(x for x, _ in pts) / 6.0, sum(y for _, y in pts) / 6.0)))
-    return out
-
-
-def _tip_adjacency(patch: Patch, cents):
-    """Shield pairs sharing a vertex but no edge (tip-to-tip junctions),
-    grouped by the undirected direction of the center-to-center segment."""
-    vert_tiles: dict[int, list[int]] = defaultdict(list)
-    for tid, t in enumerate(patch.tiles):
-        if t.kind != "S":
-            continue
-        for v in patch.tile_vertices(tid):
-            vert_tiles[v].append(tid)
-    edge_pairs = {frozenset(ts) for _ek, ts in patch.shared_edges()}
-    by_axis: dict[float, list[tuple[int, int]]] = defaultdict(list)
-    for tids in vert_tiles.values():
-        for i in range(len(tids)):
-            for j in range(i + 1, len(tids)):
-                a, b = tids[i], tids[j]
-                if frozenset((a, b)) in edge_pairs:
-                    continue  # edge-sharing shields face a fault seam
-                (ax, ay), (bx, by) = cents[a], cents[b]
-                axis = round(math.atan2(by - ay, bx - ax) % math.pi, 6)
-                by_axis[axis].append((a, b))
-    # merge antipodal rounding artifacts near pi
-    keys = sorted(by_axis)
-    if len(keys) > 1 and keys[-1] - keys[0] > math.pi - 1e-5:
-        by_axis[keys[0]].extend(by_axis.pop(keys[-1]))
-    return by_axis
-
-
-def _chains_along(cents, pairs):
-    adj: dict[int, set[int]] = defaultdict(set)
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
-    chains = []
-    for s in cents:
-        if s in seen:
-            continue
-        stack, members = [s], []
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            members.append(u)
-            stack.extend(adj[u])
-        if any(len(adj[m]) > 2 for m in members):
-            return None
-        chains.append(members)
-    return chains
-
-
 def _classify_lines(patch: Patch) -> Classification:
-    cents = dict(_shield_centroids(patch))
-    if not cents:
+    """Stacked shield lines, read off the tip pairs of the shields.
+
+    Number the corner i of a shield ((heading.a + i) % 6, heading.b): the
+    number does not depend on the A corner that anchors the tile.  Two
+    shields of a line meet tip to tip, with no common edge, where the A
+    corner numbered k of one and the B corner numbered k + 3 of the other
+    share a vertex.  Such pairs on one diagonal (k % 3, b) join shields of
+    one shape into straight chains.  A shield has one A and one B corner
+    on a diagonal, so a chain starts at each shield whose B corner there
+    is in no pair.  A uniform window is three-fold ambiguous; the
+    diagonal with the fewest chains whose stripes read a word decides,
+    and between diagonals with as few chains, the least word, so that the
+    verdict does not turn with the window.
+    """
+    shields = [tid for tid, t in enumerate(patch.tiles) if t.kind == "S"]
+    if not shields:
         return Classification("Inconclusive", reason="no shields in window")
-    by_axis = _tip_adjacency(patch, cents)
-    # the line direction of a uniform window is three-fold ambiguous; try
-    # each junction axis and keep the stripe decomposition with the fewest
-    # lines (maximal chaining)
-    candidates = []
-    axes = sorted(by_axis) or [0.0]
-    for axis in axes:
-        chains = _chains_along(cents, by_axis.get(axis, []))
-        if chains is None:
-            continue
-        verdict = _read_word(patch, cents, chains, axis)
+    b_tips = {}  # (vertex, k, b) -> the shield whose B corner there is (k, b)
+    a_tips = []
+    for tid in shields:
+        h = patch.tiles[tid].heading
+        for i, v in enumerate(patch.tile_vertices(tid)):
+            tip = (v, (h.a + i) % 6, h.b)
+            if i % 2:
+                b_tips[tip] = tid
+            else:
+                a_tips.append((tip, tid, i))
+    # diagonal -> (axis, the shields whose B tip there is paired); the
+    # axis runs from the B tip to the A tip of one shield, along its chain
+    diagonals: dict[tuple[int, int], tuple] = {}
+    for (v, k, b), tid, i in a_tips:
+        partner = b_tips.get((v, (k + 3) % 6, b))
+        if partner is not None:
+            axis = (patch.tile_vertices(tid)[(i + 3) % 6], v)
+            diagonals.setdefault((k % 3, b), (axis, set()))[1].add(partner)
+    verdicts = []
+    for axis, paired in diagonals.values():
+        heads = [s for s in shields if s not in paired]
+        verdict = _read_word(patch, heads, axis)
         if verdict is not None:
-            candidates.append((len(chains), axis, verdict))
-    if not candidates:
+            verdicts.append((len(heads), verdict.word, verdict))
+    if not verdicts:
         return Classification(
             "Inconclusive", reason="shields admit no parallel stripe decomposition"
         )
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return candidates[0][2]
+    return min(verdicts, key=lambda c: c[:2])[2]
 
 
-def _read_word(patch: Patch, cents, chains, axis):
-    """Orientation word of a stripe decomposition, or None if invalid."""
-    signs = {}
+def _read_word(patch: Patch, heads: list[int], axis) -> Classification | None:
+    """Orientation word of the chains that start at heads, stacked across
+    the axis (u, v) from one tip vertex to the other; None unless the
+    chains lie in distinct bands."""
     # the A-anchors of a shield have headings (a, b), (a + 2, b) and
-    # (a + 4, b), so the parity read below does not depend on the anchor
-    ref = patch.tiles[chains[0][0]].heading
-    for idx, members in enumerate(chains):
-        sgs = set()
-        for m in members:
-            h = patch.tiles[m].heading
-            da, db = h.a - ref.a, h.b - ref.b
-            if db % 2 != 0:
-                return None
-            sgs.add("+" if (da + 3 * (db // 2)) % 2 == 0 else "-")
-        if len(sgs) != 1:
-            return None  # mixed orientations within one chain
-        signs[idx] = sgs.pop()
-    nx, ny = -math.sin(axis), math.cos(axis)
-    projs = []
-    for idx, members in enumerate(chains):
-        vals = [cents[m][0] * nx + cents[m][1] * ny for m in members]
-        if max(vals) - min(vals) > 0.25:
-            return None  # chain not perpendicular to the normal
-        projs.append((sum(vals) / len(vals), idx))
-    projs.sort()
-    for (p1, _), (p2, _) in zip(projs, projs[1:]):
+    # (a + 4, b), so the parity read below does not depend on the anchor;
+    # the shields of a chain share it by construction
+    ref = patch.tiles[heads[0]].heading
+    (ux, uy), (vx, vy) = (patch.vertex_xy(v) for v in axis)
+    nx, ny = uy - vy, vx - ux
+    norm = math.hypot(nx, ny)
+    bands = []
+    for s in heads:
+        h = patch.tiles[s].heading
+        da, db = h.a - ref.a, h.b - ref.b
+        if db % 2 != 0:
+            return None
+        sign = "+" if (da + 3 * (db // 2)) % 2 == 0 else "-"
+        # the projection of the shield's centre across the axis
+        pts = (patch.vertex_xy(v) for v in patch.tile_vertices(s))
+        bands.append((sum(x * nx + y * ny for x, y in pts) / (6 * norm), sign))
+    bands.sort()
+    for (p1, _), (p2, _) in zip(bands, bands[1:]):
         if p2 - p1 < 0.5:
             return None  # two stripes in the same band
-    word = canonical_orientation_word(
-        "".join(signs[idx] for _p, idx in projs)
-    )
+    word = canonical_orientation_word("".join(sign for _p, sign in bands))
     if len(set(word)) == 1:
         # a uniform window cannot pin the stacking; report one letter
         return Classification("Line", word=word[0], complete=False)

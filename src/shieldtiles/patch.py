@@ -337,7 +337,7 @@ class Patch:
             if vid >= old:
                 continue
             ivs = self._vertices[vid].intervals + [(s, e, d_out, ang, tidx, lab)]
-            fault, _closed = self._star_verdict(ivs)
+            fault = self._star_verdict(ivs)
             if fault == "overlap":
                 raise OverlapError("corner angles exceed a full turn")
             if fault == "atlas":
@@ -501,24 +501,23 @@ class Patch:
         ivs = self._vertices[vid].intervals
         return _star_word(ivs) if _closes(ivs) else None
 
-    def _star_verdict(self, ivs) -> tuple[str | None, bool]:
-        """(fault, closed) for the corner intervals ivs around one vertex.
+    def _star_verdict(self, ivs) -> str | None:
+        """The fault of the corner intervals ivs around one vertex.
 
-        closed is _closes(ivs): the corners close a full turn within TURN_TOL.
-        fault is "overlap" when the corners exceed a full turn, "atlas" when
-        they close it but their angles do not solve the vertex equation (the
-        atlas holds every arrangement of every solution), else None.  Only a decimal alpha within about 1e-7
-        rad of a special value can close a star that the equation, exact to
-        1e-9, rejects.  The corner word is left to _star_word, for the
-        callers that read it.
+        "overlap" when the corners exceed a full turn, "atlas" when they
+        close it within TURN_TOL but their angles do not solve the vertex
+        equation (the atlas holds every arrangement of every solution),
+        else None.  Only a decimal alpha within about 1e-7 rad of a special
+        value can close a star that the equation, exact to 1e-9, rejects.
+        The corner word is left to _star_word, for the callers that read it.
         """
         total = sum(iv[1] - iv[0] for iv in ivs)
         if total > TWO_PI + TURN_TOL:
-            return "overlap", False
+            return "overlap"
         if abs(total - TWO_PI) >= TURN_TOL:
-            return None, False
+            return None
         legal = full_turn_check((iv[3] for iv in ivs), self.alpha)
-        return (None if legal else "atlas"), True
+        return None if legal else "atlas"
 
     def gaps(self, vid: int) -> tuple[tuple[Direction, SymbolicAngle, float], ...]:
         """Open angular gaps at a vertex: (start direction, extent, extent rad).
@@ -618,7 +617,7 @@ class Patch:
                                 "overlap",
                                 f"tiles {a[4]} and {b[4]} overlap at vertex {vid}",
                             )
-            fault, _closed = self._star_verdict(ivs)
+            fault = self._star_verdict(ivs)
             if fault == "overlap":
                 rep.add("overlap", f"vertex {vid} corners exceed a full turn")
             elif fault == "atlas":

@@ -79,12 +79,10 @@ def test_decimal_roundtrip(deg):
 def test_exceptional_fractions_come_from_the_atlas():
     from fractions import Fraction
 
-    from shieldtiles import alpha
     from shieldtiles.atlas import exceptional_alphas
 
-    assert alpha.EXCEPTIONAL_FRACTIONS == (
+    specs = exceptional_alphas()
+    assert sorted(spec.frac for spec in specs) == [
         Fraction(2, 5), Fraction(5, 12), Fraction(4, 9), Fraction(5, 9),
-    )
-    assert set(alpha.EXCEPTIONAL_FRACTIONS) == {
-        spec.frac for spec in exceptional_alphas()
-    }
+    ]
+    assert all(spec.exceptional for spec in specs)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,11 +6,11 @@ import pytest
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import VertexConfig
 from shieldtiles.classify import (
+    FAULT_WORD,
     HEX_WORD,
     canonical_orientation_word,
     classify,
     fault_lines,
-    trace_fault_line,
     vertex_census,
 )
 from shieldtiles.generators import (
@@ -21,7 +22,7 @@ from shieldtiles.generators import (
     hex_lattice_vector,
 )
 from shieldtiles.patch import Patch
-from shieldtiles.symbolic import ExactPoint
+from shieldtiles.symbolic import ExactPoint, SymbolicAngle
 
 SWEEP_ALPHAS = (
     GENERIC,
@@ -166,12 +167,53 @@ def test_fault_lines_end_at_the_hex():
     assert len(hex_ends) == 6
 
 
-def test_trace_matches_fault_lines():
+def test_fault_lines_cover_each_fault_vertex_once():
     patch = gen_line_tiling("+-", 3, GENERIC)
-    lines = fault_lines(patch)
-    for fl in lines:
-        again = trace_fault_line(patch, fl.vertices[0])
-        assert set(again.vertices) == set(fl.vertices)
+    on_lines = [v for fl in fault_lines(patch) for v in fl.vertices]
+    faults = [
+        v for v in patch.vertex_ids() if patch.interior_word(v) == FAULT_WORD
+    ]
+    assert faults and sorted(on_lines) == faults
+
+
+def _turned(patch: Patch, a: int, b: int, mirror: bool) -> Patch:
+    """The window turned by a*pi/3 + b*alpha, mirrored first if asked."""
+    tiles = [t.reflected() for t in patch.tiles] if mirror else patch.tiles
+    turn = SymbolicAngle(a, b)
+    return Patch.from_tiles(patch.alpha, [t.rotated(turn) for t in tiles])
+
+
+TURNS = list(itertools.product(range(6), (-1, 0, 1), (False, True)))
+
+
+@pytest.mark.parametrize("word", ["+", "++-"])
+@pytest.mark.parametrize("alpha", [
+    GENERIC, make_alpha("rational", 5, 12), make_alpha("decimal", 110.0),
+], ids=str)
+def test_turned_line_window_keeps_its_verdict(alpha, word):
+    # the tip pairs of a shield are numbered from its heading, so turning
+    # or mirroring the window moves no shield to another line
+    patch = gen_line_tiling(word, 2, alpha)
+    verdict = classify(patch)
+    assert verdict.family == "Line"
+    assert verdict.word == word
+    for a, b, mirror in TURNS:
+        assert classify(_turned(patch, a, b, mirror)) == verdict, (a, b, mirror)
+
+
+def test_thinned_line_window_verdict_does_not_turn():
+    # four shields gone from the two lower lines: two crossing diagonals
+    # tie on the fewest chains and read different words, and the least
+    # word is taken whatever the turn and the order of the tiles
+    patch = gen_line_tiling("--+", 2, make_alpha("decimal", 107.3))
+    assert [t.kind for t in patch.tiles[:15]] == ["S"] * 15
+    kept = [t for i, t in enumerate(patch.tiles) if i not in (0, 2, 3, 7)]
+    verdicts = {
+        classify(_turned(Patch.from_tiles(patch.alpha, tiles), a, b, mirror))
+        for tiles in (kept, kept[::-1])
+        for a, b, mirror in TURNS
+    }
+    assert len(verdicts) == 1
 
 
 def test_uniform_window_word_is_incomplete():

@@ -20,11 +20,11 @@ from shieldtiles.classify import (
     Terminus,
     classify,
     fault_lines,
-    trace_fault_line,
 )
 from shieldtiles.generators import gen_line_tiling, gen_triangle_tiling
 from shieldtiles.patch import Patch
 from shieldtiles.shieldio import loads
+from shieldtiles.symbolic import SymbolicAngle
 
 
 def _reference_spine_steps(patch, v):
@@ -119,7 +119,7 @@ def test_fault_lines_match_the_reference_tracer(window, alpha):
     assert lines == _reference_fault_lines(patch)
     for fl in lines:
         for v in (fl.vertices[0], fl.vertices[len(fl.vertices) // 2]):
-            assert trace_fault_line(patch, v) == _reference_trace(patch, v) == fl
+            assert _reference_trace(patch, v) == fl
 
 
 def test_the_fixtures_reach_every_terminus_kind():
@@ -130,15 +130,6 @@ def test_the_fixtures_reach_every_terminus_kind():
         for t in fl.termini
     }
     assert kinds == {"HexVertex", "PatchBoundary"}
-
-
-def test_trace_refuses_a_vertex_off_every_fault_line():
-    patch = gen_line_tiling("+-", 3, GENERIC)
-    off = next(
-        v for v in patch.vertex_ids() if patch.interior_word(v) != FAULT_WORD
-    )
-    with pytest.raises(ValueError):
-        trace_fault_line(patch, off)
 
 
 def test_fault_lines_read_each_interior_word_once(monkeypatch):
@@ -185,12 +176,17 @@ def _num_anchored(patch: Patch) -> Patch:
 @pytest.mark.parametrize("word", ["+-", "++-"])
 def test_num_anchored_line_window_gets_the_exact_verdict(word):
     exact = gen_line_tiling(word, 3, make_alpha("decimal", 110.0))
-    num = _num_anchored(exact)
-    assert num.alpha == exact.alpha and len(num) == len(exact)
-    assert not any(t.is_exact for t in num.tiles)
-    verdict = classify(num)
-    assert verdict == classify(exact)
-    assert verdict.family == "Line" and verdict.complete
+    # turned by 4*pi/3 - alpha, the shields are headed off 0 and pi
+    turn = SymbolicAngle(4, -1)
+    turned = Patch.from_tiles(exact.alpha, [t.rotated(turn) for t in exact.tiles])
+    assert {t.heading.b for t in turned.tiles if t.kind == "S"} == {-1}
+    for window in (exact, turned):
+        num = _num_anchored(window)
+        assert num.alpha == exact.alpha and len(num) == len(exact)
+        assert not any(t.is_exact for t in num.tiles)
+        verdict = classify(num)
+        assert verdict == classify(exact)
+        assert verdict.family == "Line" and verdict.complete
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -26,7 +26,6 @@ PRIVATE_READERS = {
 
 # definitions that no module of the package reads, with their readers
 READ_OUTSIDE = {
-    "trace_fault_line": "the fault-line tests walk single chains with it",
     "PatternBall.translation_key": "the acceptance tests key fillings with it",
     "Placement.reflected": "the key tests mirror balls and fillings with it",
     "AlphaSpec.exceptional": "the alpha tests check the flag at the exceptional angles",

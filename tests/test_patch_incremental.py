@@ -35,7 +35,7 @@ from shieldtiles.errors import (
     OverlapError,
     ShieldError,
 )
-from shieldtiles.patch import GEOM_TOL, Patch
+from shieldtiles.patch import GEOM_TOL, Patch, _closes
 from shieldtiles.placement import LABEL_CORNERS, Placement, placement_with_corner
 from shieldtiles.patterns import _DiskFrontier, _flush_candidates
 from shieldtiles.symbolic import (
@@ -256,8 +256,8 @@ def assert_state_matches_fresh_scan(patch):
     for vid in patch.vertex_ids():
         assert patch._gap_scan(vid) == patch._scan_gaps(vid)
         assert isinstance(patch.gaps(vid), tuple)
-        # interior_word reads the closed flag of the full star verdict
-        closed = patch._star_verdict(patch._vertices[vid].intervals)[1]
+        # a vertex has an interior word exactly when its corners close
+        closed = _closes(patch._vertices[vid].intervals)
         assert (patch.interior_word(vid) is not None) == closed
 
 
