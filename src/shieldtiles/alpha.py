@@ -9,7 +9,7 @@ exact rational multiple of pi, or given as a decimal in degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,6 +40,19 @@ class AlphaSpec:
     kind: str  # "generic" | "rational" | "decimal"
     frac: Fraction | None = None  # alpha/pi, for the rational kind
     rad: float | None = None  # numeric value, rational and decimal kinds
+    # the hash of the compared fields, computed once: the search's cached
+    # helpers look a spec up at every node, and Fraction hashes slowly
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.frac, self.rad)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, so that the hash is taken again in the loading process
+        return AlphaSpec, (self.kind, self.frac, self.rad)
 
     @property
     def right_shield(self) -> bool:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import geomkernel as gk
 from .alpha import AlphaSpec
@@ -145,8 +146,8 @@ class Patch:
         placements = list(placements)
         patch = cls(alpha)
         for pl in placements:
-            xys, pts = patch._corners(pl)
-            patch._commit(pl, xys, pts, patch._locate(xys, pts))
+            geom, pts = patch._corners(pl)
+            patch._commit(pl, geom, pts, patch._locate(geom[0], pts))
         if not patch.validate().ok:
             replay = cls(alpha)
             for pl in placements:
@@ -195,15 +196,15 @@ class Patch:
     # -- geometry helpers ------------------------------------------------
 
     def _corners(self, pl: Placement):
-        """(corner coordinates, exact corner points or Nones) of a tile.
+        """(Placement.geometry, exact corner points or Nones) of a tile.
 
         Only generic alpha identifies vertices by their exact points; a
         numeric patch computes a vertex's point when vertex_point asks."""
         if not pl.is_exact and self.exact_keys:
             raise ValueError("numeric anchors require numeric alpha")
-        xys = pl.corner_xy(self.eval_rad)
-        pts = pl.corner_points() if self.exact_keys else [None] * len(xys)
-        return xys, pts
+        geom = pl.geometry(self.eval_rad)
+        pts = pl.corner_points() if self.exact_keys else (None,) * len(geom[0])
+        return geom, pts
 
     def _tile_ids_near(self, x, y):
         cx, cy = math.floor(x / GRID), math.floor(y / GRID)
@@ -246,7 +247,7 @@ class Patch:
     def _discs_meeting(self, disc, ids):
         """Tiles among ids whose bounding disc meets disc, within GEOM_TOL.
 
-        disc is (cx, cy, r), as made by _disc."""
+        disc is (cx, cy, r), as made by Placement.geometry."""
         cx, cy, r = disc
         for tid in ids:
             ox, oy, orad = self._tile_discs[tid]
@@ -288,7 +289,8 @@ class Patch:
         """
         if self._frozen:
             raise ValueError("patch is frozen")
-        xys, pts = self._corners(pl)
+        geom, pts = self._corners(pl)
+        xys, flat, disc = geom
         vids = self._locate(xys, pts)
         old = len(self._vertices)
 
@@ -323,8 +325,6 @@ class Patch:
                         raise OverlapError("angular overlap at a shared vertex")
                     sharing.add(iv[4])
         # polygon overlap against the other nearby tiles
-        flat = tuple(c for xy in xys for c in xy)
-        disc = _disc(xys)
         near = [
             t for t in self._tile_ids_near(disc[0], disc[1]) if t not in sharing
         ]
@@ -343,16 +343,14 @@ class Patch:
             if fault == "atlas":
                 raise AtlasViolation(f"interior star {_star_word(ivs)} not in atlas")
 
-        return self._commit(pl, xys, pts, vids, flat, disc)
+        return self._commit(pl, geom, pts, vids)
 
-    def _commit(self, pl, xys, pts, vids, flat=None, disc=None):
+    def _commit(self, pl, geom, pts, vids):
         """Place a tile unchecked at the vertex ids that _locate gave it.
 
         An edge keeps its tiles in the order they came; it is a boundary
         edge while it has exactly one."""
-        if flat is None:
-            flat = tuple(c for xy in xys for c in xy)
-            disc = _disc(xys)
+        xys, flat, disc = geom
         old = len(self._vertices)
         journal = []
         for i, (xy, pt, vid) in enumerate(zip(xys, pts, vids)):
@@ -493,7 +491,7 @@ class Patch:
         GEOM_TOL.  Every check of add_tile looks at no other tile: an
         overlap, a shared edge, a corner on an edge or a corner at a shared
         vertex each puts a point of the other tile on pl's disc."""
-        disc = _disc(pl.corner_xy(self.eval_rad))
+        disc = pl.geometry(self.eval_rad)[2]
         return self._discs_meeting(disc, self._tile_ids_near(disc[0], disc[1]))
 
     def interior_word(self, vid: int) -> str | None:
@@ -679,14 +677,6 @@ class Patch:
 _NO_GAPS = ((), ())
 
 
-def _disc(xys) -> tuple[float, float, float]:
-    """Mean of the corners and the greatest corner distance from it."""
-    n = len(xys)
-    cx = sum(x for x, _ in xys) / n
-    cy = sum(y for _, y in xys) / n
-    return cx, cy, max(math.hypot(x - cx, y - cy) for x, y in xys)
-
-
 def _closes(ivs) -> bool:
     """True when the corner intervals ivs around one vertex close a full
     turn within TURN_TOL."""
@@ -838,17 +828,17 @@ def _key_candidates(ball: PatternBall, rotations: bool) -> list[str]:
     rad = None if exact else ball.alpha.eval_radians()
     index: dict = {}  # point (rounded when numeric) -> position in pts
     pts = []
-    tiles = []
+    tiles = []  # (kind and "|", getter of the tile's corner codes)
     dirs = set()
     for t in ball.tiles:
         ids = []
-        for p in t.corner_points() if exact else t.corner_xy(rad):
+        for p in t.corner_points() if exact else t.geometry(rad)[0]:
             k = p if exact else (round(p[0], 6), round(p[1], 6))
             if k not in index:
                 index[k] = len(pts)
                 pts.append(p)
             ids.append(index[k])
-        tiles.append((t.kind, ids))
+        tiles.append((t.kind + "|", itemgetter(*ids)))
         dirs.update(d for _lab, d, _ang in t.corner_dirs())
     if exact:
         pts = [p - ball.center for p in pts]
@@ -866,10 +856,9 @@ def _key_candidates(ball: PatternBall, rotations: bool) -> list[str]:
             vdirs = {round(d.value(rad), 9): d for d in vdirs}.values()
         for d in vdirs:
             codes = _frame_codes(vpts, d, rad)
-            out.append(";".join(sorted(
-                kind + "|" + "/".join(sorted(codes[i] for i in ids))
-                for kind, ids in tiles
-            )))
+            out.append(";".join(sorted([
+                kind + "/".join(sorted(get(codes))) for kind, get in tiles
+            ])))
     return out
 
 
@@ -882,10 +871,10 @@ def _frame_codes(pts, d: Direction, rad: float | None) -> list[str]:
         wu, wv = OMEGA_POW[-d.a % 6]
         db = d.b
         return [
-            ",".join(
+            ",".join([
                 f"{b - db}:{u * wu - v * wv}:{u * wv + v * wu + v * wv}"
                 for b, u, v in p.coeffs
-            )
+            ])
             for p in pts
         ]
     t = d.value(rad)

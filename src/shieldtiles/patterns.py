@@ -38,15 +38,21 @@ ORIGIN = ExactPoint.from_dict({})
 
 
 class NodeBudget:
-    """Search nodes allowed and used.
+    """Search nodes allowed and used, and the flush candidates built.
 
     A node is one tentative tile placement.  Passing one instance as the
-    budget of several searches makes them share a single limit.
+    budget of several searches makes them share a single limit and one
+    table of candidates: the three tiles flush against a gap's start ray
+    depend only on its point and direction, so each pair is built once
+    (see _Search.run).  count_patterns makes one per count, so no table
+    outlives its count.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        # (vertex point, start direction) -> _flush_candidates of the pair
+        self.candidates: dict = {}
 
     def spend(self) -> None:
         if self.used >= self.limit:
@@ -91,6 +97,11 @@ class _Search:
     tile_filter: object = None
     on_solution: object = None
 
+    def __post_init__(self):
+        # the corner angles that _flush_candidates puts at the vertex
+        rad = self.patch.eval_rad
+        self.angles = [LABEL_ANGLES[lab].value(rad) for lab in "TAB"]
+
     def run(self) -> bool | set[int] | None:
         """Search the completions of the patch as it stands.
 
@@ -101,15 +112,16 @@ class _Search:
         placed tiles that no completion holds all together.
 
         This is conflict-directed backjumping (P. Prosser, Computational
-        Intelligence 9(3), 1993).  A candidate refused by add_tile, the gap
-        pruning or the tile filter is blamed on every placed tile whose
-        bounding disc meets its own (Patch.tiles_touching): the checks look
-        at no other tile, and more tiles never make a refused tile fit.
-        The tile filter must be such a check too.  A candidate whose
-        subtree failed contributes that subtree's blame without itself.
-        When a candidate is not in its subtree's blame, the failure does
-        not depend on it: the node pops it and returns that blame at once,
-        and every node up to the latest blamed tile does the same.
+        Intelligence 9(3), 1993).  A candidate refused by the gap
+        arithmetic, add_tile, the gap pruning or the tile filter is blamed
+        on every placed tile whose bounding disc meets its own
+        (Patch.tiles_touching): the checks look at no other tile, and more
+        tiles never make a refused tile fit.  The tile filter must be such
+        a check too.  A candidate whose subtree failed contributes that
+        subtree's blame without itself.  When a candidate is not in its
+        subtree's blame, the failure does not depend on it: the node pops
+        it and returns that blame at once, and every node up to the latest
+        blamed tile does the same.
 
         Why a blame is sound: the chosen vertex lies within must_close, so
         every completion that holds the tiles at that vertex (always in the
@@ -122,6 +134,12 @@ class _Search:
         skips only subtrees without completions: it visits every completion
         the chronological search visits, in the same order, and never more
         nodes.
+
+        A candidate whose corner at the chosen vertex is wider than the gap
+        by more than 2*GEOM_TOL overlaps the tile after the gap there by
+        more than the GEOM_TOL of add_tile's angular test.  It is refused
+        without add_tile, which would refuse it too, so the search tree is
+        the same.
         """
         p = self.patch
         chosen = self.frontier()
@@ -130,14 +148,22 @@ class _Search:
                 return True
             self.on_solution(p)
             return None
-        d2, vid, (start_dir, _sym, _gn) = chosen
+        d2, vid, (start_dir, _sym, gap_rad) = chosen
         point = p.vertex_point(vid)
+        table = self.budget.candidates
+        cands = table.get((point, start_dir))
+        if cands is None:
+            cands = table[point, start_dir] = _flush_candidates(point, start_dir)
+        room = gap_rad + 2 * GEOM_TOL
         me = len(p)  # index of the tile this node places
         refused = []
         blame = set()
         found = False
-        for cand in _flush_candidates(point, start_dir):
+        for cand, angle in zip(cands, self.angles):
             self.budget.spend()
+            if angle > room:
+                refused.append(cand)
+                continue
             try:
                 vids = p.add_tile(cand)
             except ShieldError:
@@ -353,7 +379,9 @@ def fill_disk(
     before once more tiles are placed.
 
     The search fills first the gap that admits the fewest tiles (see
-    _DiskFrontier), and a dead branch backjumps (see _Search.run).
+    _DiskFrontier), and a dead branch backjumps (see _Search.run).  A
+    NodeBudget passed as budget lends the search its table of flush
+    candidates; an int budget gives it a table of its own.
     """
     frontier = _DiskFrontier(patch, patch.vertex_xy(center_vid), radius)
     s = _Search(
@@ -410,9 +438,10 @@ def complete_ball(
     than once; an isometry about the center maps completions onto
     completions, so each key is decided once, kept or refuted.
 
-    budget bounds the nodes of all these searches together; the star tiles
-    are placed directly and spend none.  On exhaustion BudgetExceeded is
-    raised carrying the witnessed balls found so far.
+    budget bounds the nodes of all these searches together, and they share
+    its table of flush candidates; the star tiles are placed directly and
+    spend none.  On exhaustion BudgetExceeded is raised carrying the
+    witnessed balls found so far.
     """
     nodes = _as_budget(budget)
     found: dict[str, PatternBall] = {}

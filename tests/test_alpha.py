@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,8 @@ from shieldtiles.alpha import (
     parse_alpha,
 )
 from shieldtiles.errors import AmbiguousDecimal, NoNumericValue, OutOfRange
+from shieldtiles.patterns import admitted_labels
+from shieldtiles.symbolic import SymbolicAngle
 
 SPECIAL_DEGREES = (72.0, 75.0, 80.0, 90.0, 100.0)  # exact rational values
 
@@ -86,3 +89,19 @@ def test_exceptional_fractions_come_from_the_atlas():
         Fraction(2, 5), Fraction(5, 12), Fraction(4, 9), Fraction(5, 9),
     ]
     assert all(spec.exceptional for spec in specs)
+
+
+def test_equal_specs_hash_equal_and_share_a_cache_entry():
+    a, b = make_alpha("rational", 1, 2), make_alpha("rational", 1, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != make_alpha("rational", 5, 12) != make_alpha("decimal", 75.0001)
+    gap = SymbolicAngle(6, -2)  # two right angles
+    admitted_labels(gap, a)
+    before = admitted_labels.cache_info()
+    assert admitted_labels(gap, b) == admitted_labels(gap, a)
+    after = admitted_labels.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 2
+    # a loaded spec takes its hash again
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a) and {a: 1}[c] == 1

@@ -12,6 +12,7 @@ import pytest
 
 from shieldtiles import patterns
 from shieldtiles.alpha import GENERIC, make_alpha
+from shieldtiles.atlas import LABEL_ANGLES
 from shieldtiles.classify import classify
 from shieldtiles.errors import ShieldError
 from shieldtiles.generators import (
@@ -19,7 +20,7 @@ from shieldtiles.generators import (
     gen_dodecagon_tiling,
     gen_triangle_tiling,
 )
-from shieldtiles.patch import Patch
+from shieldtiles.patch import GEOM_TOL, Patch
 from shieldtiles.patterns import (
     DODECA_CIRCUM,
     DODECAGON_CENTER,
@@ -212,3 +213,85 @@ def test_triangle_window_is_the_first_chronological_completion():
     got, _seen, nodes = _traced(job, _Search)
     assert got == ref
     assert nodes < ref_nodes
+
+
+# add_tile and spend as the package defines them, out of reach of the
+# counters below
+_ADD_TILE = Patch.add_tile
+_SPEND = patterns.NodeBudget.spend
+
+
+def _state(patch: Patch):
+    return (list(patch.tiles), set(patch.boundary_edges()),
+            [patch.gaps(v) for v in patch.vertex_ids()])
+
+
+class _OverfullChecked(_Search):
+    """At each node, before the search runs it: every flush candidate whose
+    corner is wider than the chosen gap by more than 2*GEOM_TOL is offered
+    to add_tile, which must refuse it and leave the patch as it was.
+
+    frames holds, for each node being searched, innermost last, its
+    candidates' overfull flags and how many of them the node has spent a
+    node on; reached counts the overfull candidates spent on."""
+
+    frames: list = []
+    reached = 0
+
+    def run(self):
+        flags = []
+        chosen = self.frontier()
+        if chosen is not None:
+            _d2, vid, (start, _sym, gap_rad) = chosen
+            p = self.patch
+            for cand, lab in zip(
+                _flush_candidates(p.vertex_point(vid), start), "TAB"
+            ):
+                over = LABEL_ANGLES[lab].value(p.eval_rad) > gap_rad + 2 * GEOM_TOL
+                flags.append(over)
+                if over:
+                    before = _state(p)
+                    with pytest.raises(ShieldError):
+                        _ADD_TILE(p, cand)
+                    assert _state(p) == before
+        self.frames.append([flags, 0])
+        try:
+            return super().run()
+        finally:
+            self.frames.pop()
+
+
+def _spend_counted(budget):
+    # a node spends on its candidates in order, each before its add_tile
+    frame = _OverfullChecked.frames[-1]
+    _OverfullChecked.reached += frame[0][frame[1]]
+    frame[1] += 1
+    _SPEND(budget)
+
+
+OVERFULL_CASES = {
+    "generic-n1": (_count(1.0, GENERIC), 50),
+    "right-n1.0": (_count(1.0, RIGHT), 288),
+    "110.3deg-n1": (_count(1.0, DECIMAL), 50),
+    "75.3deg-n1.5": (_count(1.5, make_alpha("decimal", 75.3)), 100),
+}
+
+
+@pytest.mark.parametrize("case", OVERFULL_CASES)
+def test_early_refusals_are_add_tile_refusals(case):
+    # add_tile refuses every overfull candidate, and the search skips
+    # add_tile for exactly the overfull candidates it reaches: want of them
+    job, want = OVERFULL_CASES[case]
+    calls = Counter()
+
+    def counted(self, pl):
+        calls["add_tile"] += 1
+        return _ADD_TILE(self, pl)
+
+    _OverfullChecked.reached = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Patch, "add_tile", counted)
+        m.setattr(patterns.NodeBudget, "spend", _spend_counted)
+        _answer, _seen, nodes = _traced(job, _OverfullChecked)
+    assert _OverfullChecked.reached == want
+    assert calls["add_tile"] == nodes - want

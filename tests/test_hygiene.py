@@ -1,18 +1,24 @@
 """Source hygiene: every imported name is used by its module, every
 definition under src/ is read somewhere in src/, no module but patch.py
 reads the private state of a Patch, the classifier imports none of the
-generators it checks, and every name that the traced benchmark wraps
-exists."""
+generators it checks, every name that the traced benchmark wraps exists,
+and a traced benchmark run of each workload passes."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shieldtiles"
 SCANNED = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 SPANS = ROOT / "perfbench" / "spans.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 PATCH = PACKAGE / "patch.py"
 CLASSIFY = PACKAGE / "classify.py"
 # the package modules the classifier may import: it checks the generators'
@@ -280,3 +286,18 @@ def test_traced_benchmark_names_resolve():
     assert missing == []
     # the benchmark child reports the kernel in use
     assert isinstance(_resolve("geomkernel", "IMPL"), str)
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"]]
+)
+def test_traced_benchmark_run_passes(workload):
+    # the traced run fails when a wrapped function that a job kind must
+    # reach is never called, and when an answer is wrong
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

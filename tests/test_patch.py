@@ -450,3 +450,20 @@ def test_star_word_is_built_only_for_its_readers(monkeypatch):
         patch.add_tile(last)
     assert str(patch.validate()) == "atlas: vertex 0 star AAAA not in atlas"
     assert len(built) == 3
+
+
+def test_kept_geometry_follows_alpha():
+    # a placement keeps its float geometry for the last alpha asked only,
+    # and gives the values that a fresh computation gives, float for float
+    anchor = ExactPoint.from_dict({0: (1, 2), 1: (0, -1)})
+    pl = Placement("S", anchor, Direction.of(2, 1))
+    for rad in (math.radians(99), math.pi / 2, math.radians(99), ALPHA_NUM.rad):
+        xys = Placement(pl.kind, pl.anchor, pl.heading).corner_xy(rad)
+        n = len(xys)
+        cx = sum(x for x, _ in xys) / n
+        cy = sum(y for _, y in xys) / n
+        disc = (cx, cy, max(math.hypot(x - cx, y - cy) for x, y in xys))
+        for _ in range(2):  # computed, then kept
+            assert pl.geometry(rad) == (
+                xys, tuple(c for xy in xys for c in xy), disc
+            )

@@ -629,8 +629,8 @@ def _planted(alpha, tiles):
     them before it validates."""
     patch = Patch(alpha)
     for t in tiles:
-        xys, pts = patch._corners(t)
-        patch._commit(t, xys, pts, patch._locate(xys, pts))
+        geom, pts = patch._corners(t)
+        patch._commit(t, geom, pts, patch._locate(geom[0], pts))
     return patch
 
 

@@ -492,3 +492,22 @@ def test_right_shield_counts_dominate_generic():
         r = count_patterns(n, RIGHT, keep=False)
         assert g.complete and r.complete
         assert r.count >= g.count
+
+
+@pytest.mark.parametrize("alpha", [GENERIC, RIGHT], ids=str)
+def test_each_flush_candidate_is_built_once_per_count(alpha, monkeypatch):
+    # the searches of one count share a table of flush candidates: each
+    # (vertex point, start direction) pair gets its three tiles built once
+    built = Counter()
+    real = patterns.placement_with_corner
+
+    def counted(kind, corner, point, d_out):
+        built[kind, corner, point, d_out] += 1
+        return real(kind, corner, point, d_out)
+
+    monkeypatch.setattr(patterns, "placement_with_corner", counted)
+    assert count_patterns(1.0, alpha).complete
+    pairs = {(point, d) for _kind, _corner, point, d in built}
+    assert len(pairs) > 50
+    assert sum(built.values()) == 3 * len(pairs)
+    assert set(built.values()) == {1}
