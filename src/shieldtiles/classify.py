@@ -167,10 +167,11 @@ def _classify_lines(patch: Patch) -> Classification:
     share a vertex.  Such pairs on one diagonal (k % 3, b) join shields of
     one shape into straight chains.  A shield has one A and one B corner
     on a diagonal, so a chain starts at each shield whose B corner there
-    is in no pair.  A uniform window is three-fold ambiguous; the
-    diagonal with the fewest chains whose stripes read a word decides,
-    and between diagonals with as few chains, the least word, so that the
-    verdict does not turn with the window.
+    is in no pair.  A uniform window is three-fold ambiguous, and on a
+    window that lacks shields a crossing diagonal may read a word too; the
+    diagonal whose bands read the shortest word decides, then the one with
+    the fewest chains, then the least word, so that the verdict does not
+    turn with the window.
     """
     shields = [tid for tid, t in enumerate(patch.tiles) if t.kind == "S"]
     if not shields:
@@ -198,18 +199,18 @@ def _classify_lines(patch: Patch) -> Classification:
         heads = [s for s in shields if s not in paired]
         verdict = _read_word(patch, heads, axis)
         if verdict is not None:
-            verdicts.append((len(heads), verdict.word, verdict))
+            verdicts.append((len(verdict.word), len(heads), verdict.word, verdict))
     if not verdicts:
         return Classification(
             "Inconclusive", reason="shields admit no parallel stripe decomposition"
         )
-    return min(verdicts, key=lambda c: c[:2])[2]
+    return min(verdicts, key=lambda c: c[:3])[3]
 
 
 def _read_word(patch: Patch, heads: list[int], axis) -> Classification | None:
     """Orientation word of the chains that start at heads, stacked across
-    the axis (u, v) from one tip vertex to the other; None unless the
-    chains lie in distinct bands."""
+    the axis (u, v) from one tip vertex to the other, one letter per band
+    of chains; None when a band holds chains of both signs."""
     # the A-anchors of a shield have headings (a, b), (a + 2, b) and
     # (a + 4, b), so the parity read below does not depend on the anchor;
     # the shields of a chain share it by construction
@@ -228,10 +229,15 @@ def _read_word(patch: Patch, heads: list[int], axis) -> Classification | None:
         pts = (patch.vertex_xy(v) for v in patch.tile_vertices(s))
         bands.append((sum(x * nx + y * ny for x, y in pts) / (6 * norm), sign))
     bands.sort()
-    for (p1, _), (p2, _) in zip(bands, bands[1:]):
-        if p2 - p1 < 0.5:
-            return None  # two stripes in the same band
-    word = canonical_orientation_word("".join(sign for _p, sign in bands))
+    # chains less than 0.5 apart are one band: the pieces of a line that
+    # lacks a shield, read as one stripe if they agree in sign
+    letters = [bands[0][1]]
+    for (p1, _), (p2, sign) in zip(bands, bands[1:]):
+        if p2 - p1 >= 0.5:
+            letters.append(sign)
+        elif sign != letters[-1]:
+            return None  # two signs in the same band
+    word = canonical_orientation_word("".join(letters))
     if len(set(word)) == 1:
         # a uniform window cannot pin the stacking; report one letter
         return Classification("Line", word=word[0], complete=False)

@@ -130,13 +130,15 @@ class Patch:
         # one entry of reversible effects per placed tile, for pop_tile
         self._undo: list[tuple] = []
         self._frozen = False
+        # the report of validate(), kept while it holds: once validate() has
+        # found the patch valid, add_tile, add_vertex and pop_tile keep it so
         self._report: ValidationReport | None = None
 
     @classmethod
     def from_tiles(cls, alpha: AlphaSpec, placements) -> "Patch":
         """The patch of the given tiles, placed in order unchecked and then
-        validated once.  The report stays cached, so validate() costs
-        nothing until a tile is added or popped.
+        validated once.  The report is kept, so validate() costs nothing
+        while tiles are added and popped through add_tile and pop_tile.
 
         A patch that fails raises what add_tile raises, adding the same
         tiles one by one: the tiles are replayed through add_tile, which
@@ -343,10 +345,16 @@ class Patch:
             if fault == "atlas":
                 raise AtlasViolation(f"interior star {_star_word(ivs)} not in atlas")
 
-        return self._commit(pl, geom, pts, vids)
+        # add_tile applies validate()'s rule, so a valid patch stays valid
+        report = self._report
+        vids = self._commit(pl, geom, pts, vids)
+        if report is not None and report.ok:
+            self._report = report
+        return vids
 
     def _commit(self, pl, geom, pts, vids):
-        """Place a tile unchecked at the vertex ids that _locate gave it.
+        """Place a tile unchecked at the vertex ids that _locate gave it,
+        dropping the kept report.
 
         An edge keeps its tiles in the order they came; it is a boundary
         edge while it has exactly one."""
@@ -392,7 +400,12 @@ class Patch:
 
         Raises ValueError, and changes nothing, when a vertex has been made
         since that tile (add_vertex at a new point): the tile's new vertices
-        are then no longer the last ones."""
+        are then no longer the last ones.
+
+        A valid patch stays valid: a removed tile takes away edges, corners
+        and the vertices that it alone made, so no edge gains a tile, no
+        vertex comes inside an edge, no two corners come to overlap and no
+        star grows, and two tiles that shared a vertex still share it."""
         if self._frozen:
             raise ValueError("patch is frozen")
         journal, vids, cell = self._undo[-1]
@@ -433,7 +446,8 @@ class Patch:
             if self.exact_keys:
                 del self._key2vid[point.coeffs]
             self._vgrid[vcell].remove(vid)
-        self._report = None
+        if self._report is not None and not self._report.ok:
+            self._report = None
 
     def freeze(self):
         self._frozen = True
@@ -447,7 +461,9 @@ class Patch:
         """Register a bare vertex (a center with no tiles yet).
 
         Raises EdgeMismatchError if the point is not a vertex yet and lies
-        strictly inside an edge, and ValueError on a frozen patch."""
+        strictly inside an edge, and ValueError on a frozen patch.  A bare
+        vertex inside no edge changes no verdict of validate(), so the kept
+        report stays."""
         if self._frozen:
             raise ValueError("patch is frozen")
         xy = point.xy(self.eval_rad)
@@ -591,8 +607,8 @@ class Patch:
         that share no vertex but overlap, and a star that exceeds a full
         turn or closes it off the atlas.  Tiles that share a vertex get no
         polygon test: each lies in the cone of its corner there, so the
-        interval test has decided them.  The report is kept until a tile
-        is added or popped.
+        interval test has decided them.  The report is kept while it holds
+        (see add_tile and pop_tile); tiles placed unchecked drop it.
         """
         if self._report is not None:
             return self._report
@@ -621,19 +637,27 @@ class Patch:
             elif fault == "atlas":
                 rep.add("atlas", f"vertex {vid} star {_star_word(ivs)} not in atlas")
         blocks = {}  # tile grid cell -> the tiles of its 3x3 block
-        for i, disc in enumerate(self._tile_discs):
-            cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
+        discs, polys, tile_vids = self._tile_discs, self._tile_polys, self._tile_vids
+        for i, (cx, cy, r) in enumerate(discs):
+            cell = (math.floor(cx / GRID), math.floor(cy / GRID))
             block = blocks.get(cell)
             if block is None:
-                block = blocks[cell] = self._tile_ids_near(disc[0], disc[1])
-            sharing = {
-                iv[4]
-                for vid in self._tile_vids[i]
-                for iv in self._vertices[vid].intervals
-            }
-            near = [j for j in block if j < i and j not in sharing]
-            for j in self._overlaps(self._tile_polys[i], disc, near):
-                rep.add("overlap", f"tiles {j} and {i} overlap")
+                block = blocks[cell] = self._tile_ids_near(cx, cy)
+            # the disc test of _discs_meeting, inlined, comes first: most
+            # tiles of a block are out of reach, and only a tile within
+            # reach is asked whether it shares a vertex
+            vids = set(tile_vids[i])
+            for j in block:
+                if j >= i:
+                    continue
+                ox, oy, orad = discs[j]
+                reach = r + orad + GEOM_TOL
+                if (
+                    (ox - cx) ** 2 + (oy - cy) ** 2 < reach * reach
+                    and vids.isdisjoint(tile_vids[j])
+                    and gk.convex_overlap(polys[i], polys[j], GEOM_TOL)
+                ):
+                    rep.add("overlap", f"tiles {j} and {i} overlap")
         self._report = rep
         return rep
 

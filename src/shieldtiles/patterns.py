@@ -606,6 +606,7 @@ DODECA_CIRCUM = 0.5 / math.sin(math.pi / 12.0)
 # translation between nearest dodecagon centers of the packing: 2 + sqrt(3)
 # to the north; the centers form a triangular lattice
 DODECAGON_NORTH = ExactPoint.from_dict({0: (-1, 2), 1: (2, 0)})
+DODECAGON_NORTH_60 = DODECAGON_NORTH.rotated(SymbolicAngle(1, 0))
 
 
 def packing_cells(rho: float) -> list[tuple[int, int, ExactPoint]]:
@@ -613,15 +614,14 @@ def packing_cells(rho: float) -> list[tuple[int, int, ExactPoint]]:
     rho of the origin, a corner of cell (0, 0).
 
     Cell (i, j) is the dodecagon around DODECAGON_CENTER translated by
-    base = i*north + j*(north turned by 60 degrees).  Its center is base
+    base = i*DODECAGON_NORTH + j*DODECAGON_NORTH_60.  Its center is base
     plus the center offset, one circumradius from the origin at 75 degrees.
     """
     rad = RIGHT.radians()
     cx, cy = dodecagon_center_xy()
-    north = DODECAGON_NORTH
     out = []
     for i, j, base in lattice_points(
-        north, north.rotated(SymbolicAngle(1, 0)), rho + DODECA_CIRCUM, rad
+        DODECAGON_NORTH, DODECAGON_NORTH_60, rho + DODECA_CIRCUM, rad
     ):
         bx, by = base.xy(rad)
         if math.hypot(bx + cx, by + cy) <= rho + 1e-9:

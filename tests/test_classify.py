@@ -97,9 +97,11 @@ def test_triangle_order_sweep(alpha, order):
     assert (two_hexes is None) == (order == math.inf)
 
 
-def _hex_stars(alpha, centers) -> Patch:
-    """The hex star and its ring of six shields at each center."""
-    return Patch.from_tiles(alpha, _hex_seeds(centers))
+def _hex_stars(alpha, order) -> Patch:
+    """The hex star and its ring of six shields at the origin and at one
+    order-k hex lattice vector from it."""
+    centers = [ExactPoint(), hex_lattice_vector(order)]
+    return Patch.from_tiles(alpha, _hex_seeds(centers, order))
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -107,7 +109,7 @@ def _hex_stars(alpha, centers) -> Patch:
 def test_hex_stars_apart_pin_no_order(alpha, order):
     # two hex stars at the order-k spacing that share no tile: no fault
     # line joins the hexes, so their distance alone decides nothing
-    patch = _hex_stars(alpha, [ExactPoint(), hex_lattice_vector(order)])
+    patch = _hex_stars(alpha, order)
     assert len(patch) == 24 and _hex_count(patch) == 2
     verdict = classify(patch)
     assert verdict.family == "Inconclusive"
@@ -118,7 +120,7 @@ def test_hex_stars_apart_pin_no_order(alpha, order):
 def test_hex_stars_that_meet_are_order_1(alpha):
     # at order 1 the two rings share two shields and a fault line of two
     # fault vertices runs from hex to hex
-    patch = _hex_stars(alpha, [ExactPoint(), hex_lattice_vector(1)])
+    patch = _hex_stars(alpha, 1)
     assert len(patch) == 22
     joined = [
         fl for fl in fault_lines(patch)
@@ -214,6 +216,23 @@ def test_thinned_line_window_verdict_does_not_turn():
         for a, b, mirror in TURNS
     }
     assert len(verdicts) == 1
+
+
+@pytest.mark.parametrize("word, alpha, gone", [
+    # shields 0 and 2 of the bottom line and 3 and 7 of the middle one
+    ("--+", make_alpha("decimal", 107.3), (0, 2, 3, 7)),
+    # a crossing diagonal has as many chains as the lines' diagonal and
+    # reads the lesser word, ++-++-+--, with nine stripes
+    ("++--", GENERIC, (0, 3, 7, 13, 16, 18)),
+], ids=["three-lines", "four-lines"])
+def test_line_broken_by_missing_shields_reads_as_one_stripe(word, alpha, gone):
+    # each line that lacks a shield is two chains in one band, read as one
+    # stripe, so the window reads its lines and no crossing diagonal
+    patch = gen_line_tiling(word, 2, alpha)
+    kept = [t for i, t in enumerate(patch.tiles) if i not in gone]
+    verdict = classify(Patch.from_tiles(alpha, kept))
+    want = canonical_orientation_word(word)
+    assert (verdict.family, verdict.word, verdict.complete) == ("Line", want, True)
 
 
 def test_uniform_window_word_is_incomplete():

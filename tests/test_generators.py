@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -14,7 +16,10 @@ from shieldtiles.generators import (
     gen_triangle_tiling,
     hex_lattice_vector,
 )
+from shieldtiles.errors import ShieldError
 from shieldtiles.patch import Patch
+from shieldtiles.placement import Placement
+from shieldtiles.symbolic import ANGLE_T, same_angle
 
 ALPHAS = [GENERIC, make_alpha("rational", 5, 12), make_alpha("decimal", 99.34)]
 
@@ -104,13 +109,15 @@ def test_dodecagon_window_geometry_pinned(choice, digest):
 
 
 @pytest.mark.parametrize("filling, digest", [
-    (0, "01aa7cce34624ee9db2709e52e623225aa667f4fb0eaa3e7504787debf906676"),
-    (1, "dcaab39ac83d7f36544393c249ace2d1314e3b6dbf67bdf2c61d1bc3d4e2d687"),
-    (2, "befb5be67fe5d728f69d9baa7e624988e7056ad08a2df954204e5d0b1a4597ca"),
+    (0, "10cb34f759389f77f4e2bed0ae40cd196ebd620b7d3730c45e59d1976b3a5300"),
+    (1, "598f621cb90e377f88757d3647a856cf469e000a4f1d222536cec64c467b9fba"),
+    (2, "874493eb8cd5c2138410fb60ed929ff50b08283c815a70ec563e51320714c74b"),
 ])
 def test_dodecagon_window_placements_pinned(filling, digest):
-    # the ordered placements, so a cell placed elsewhere or in another
-    # order shows
+    # the ordered placements, so a cell or a hole triangle placed elsewhere
+    # or in another order shows; pinned when the hole triangles came from
+    # PACKING_HOLES (the geometry is pinned above, and was the same when
+    # they came from a scan of the gaps)
     patch = gen_dodecagon_tiling(DodecagonChoice.constant(filling), 4)
     text = repr([(t.kind, t.anchor.coeffs, t.heading.a, t.heading.b)
                  for t in patch.tiles])
@@ -194,3 +201,88 @@ def test_triangle_windows_search_prune_and_backtrack(monkeypatch):
     assert set(calls) == {
         "fill_disk", "pop_tile", "star_blocks", "gap_feasible", "star_completable"
     }
+
+
+# -- the forced triangles against a closure of the gaps ----------------------
+
+
+def _reference_closure(patch):
+    """Place the forced triangle wherever an angular gap is exactly pi/3,
+    vertex by vertex, until a round places none: the generators built
+    their windows this way before they listed the triangles themselves."""
+    while True:
+        progress = False
+        for vid in list(patch.vertex_ids()):
+            for d, sym, _gn in patch.gaps(vid):
+                if same_angle(sym, ANGLE_T, patch.alpha):
+                    try:
+                        patch.add_tile(Placement("T", patch.vertex_point(vid), d))
+                        progress = True
+                    except ShieldError:
+                        pass
+        if not progress:
+            return patch
+
+
+def _exact_tiles(tiles):
+    return Counter((t.kind, frozenset(t.corner_points())) for t in tiles)
+
+
+def _rounded_tiles(tiles, rad):
+    # at pi/2 one point has several exact spellings (e^(2i*alpha) = -1), so
+    # the tiles are compared by their corners rounded as vertices are keyed
+    return Counter(
+        (t.kind, frozenset((round(x, 6) + 0.0, round(y, 6) + 0.0)
+                           for x, y in t.corner_xy(rad)))
+        for t in tiles
+    )
+
+
+WORDS = ["".join(w) for n in range(1, 5) for w in itertools.product("+-", repeat=n)]
+
+
+@pytest.mark.parametrize("alpha", [
+    GENERIC, make_alpha("decimal", 107.3), make_alpha("rational", 5, 12),
+], ids=str)
+def test_line_window_triangles_are_the_forced_ones(alpha):
+    # every word of 1-4 letters at extents 1-4: the listed junction and
+    # seam triangles are exactly those that closing the gaps of the shields
+    # places, and the closure places no more than 4*extent per line and two
+    # per pair of lines
+    for word, extent in itertools.product(WORDS, range(1, 5)):
+        window = gen_line_tiling(word, extent, alpha)
+        shields = [t for t in window.tiles if t.kind == "S"]
+        assert len(shields) == len(word) * (2 * extent + 1)
+        closed = _reference_closure(Patch.from_tiles(alpha, shields))
+        assert _exact_tiles(window.tiles) == _exact_tiles(closed.tiles), (word, extent)
+        lines = len(word)
+        assert len(window) - len(shields) == 4 * extent * lines + 2 * (lines - 1)
+
+
+def _seeded_choice(seed):
+    rng = random.Random(seed)
+    return DodecagonChoice(assignment={
+        (i, j): rng.randrange(3) for i in range(-8, 9) for j in range(-8, 9)
+    })
+
+
+@pytest.mark.parametrize("choice", [
+    *(DodecagonChoice.constant(k) for k in range(3)),
+    *(_seeded_choice(seed) for seed in range(5)),
+], ids=[*(f"constant{k}" for k in range(3)), *(f"seed{s}" for s in range(5))])
+def test_dodecagon_window_triangles_are_the_forced_ones(choice):
+    # a hole is filled when two of its cells are in the window, which is
+    # what closing the gaps of the cells places, at extents 1-6
+    fillings = patterns.dodecagon_fillings()
+    for extent, holes in zip(range(1, 7), (4, 6, 10, 18, 22, 26)):
+        cells = [
+            t.translated(base)
+            for i, j, base in patterns.packing_cells(extent + patterns.DODECA_CIRCUM)
+            for t in fillings[choice.index_for((i, j))].tiles
+        ]
+        window = gen_dodecagon_tiling(choice, extent)
+        assert window.tiles[:len(cells)] == cells
+        closed = _reference_closure(Patch.from_tiles(patterns.RIGHT, cells))
+        rad = window.eval_rad
+        assert _rounded_tiles(window.tiles, rad) == _rounded_tiles(closed.tiles, rad)
+        assert len(window) - len(cells) == holes

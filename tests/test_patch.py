@@ -331,17 +331,21 @@ def test_validate_reports_open_gap_vertices():
 def test_validate_reports_corner_inside_an_edge(monkeypatch):
     # the corner (1/2, 0) of the lower triangle lies inside the base edge
     # of the upper one; add_tile refuses it, so it is planted with the
-    # edge test switched off, and validate must find it again
+    # edge test switched off, and validate must find it again.  A patch
+    # that validate() has found valid keeps its report through add_tile,
+    # so the tiles are planted in a new patch
     patch = Patch(ALPHA_NUM)
     patch.add_tile(Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0)))
     lower = Placement("T", FloatPoint(0.5, 0.0), Direction.of(4, 0))
     with pytest.raises(EdgeMismatchError):
         patch.add_tile(lower)
     assert patch.validate().ok
+    planted = Patch(ALPHA_NUM)
     with monkeypatch.context() as m:
         m.setattr(patch_module, "_strictly_inside", lambda *args: False)
-        patch.add_tile(lower)
-    report = patch.validate()
+        for t in [*patch.tiles, lower]:
+            planted.add_tile(t)
+    report = planted.validate()
     assert [v.kind for v in report.violations] == ["t_junction"]
     assert "vertex 3 lies inside an edge" in str(report)
 

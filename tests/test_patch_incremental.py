@@ -16,7 +16,9 @@ Batch builds are checked the same way: Patch.from_tiles must refuse a
 tile list exactly when adding its tiles one by one does, with the same
 error, and build the same state otherwise.  validate() on the tiles
 placed unchecked must report the same overlapping pairs as a polygon test
-of every pair of tiles.
+of every pair of tiles.  A validated patch keeps its report through
+add_tile, add_vertex and pop_tile; the kept report must equal a full
+validation of the same tiles.
 """
 
 import math
@@ -472,7 +474,10 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
                 for f in _followers(every_step, now_and_then):
                     f.add(vids)
         assert_state_matches_fresh_scan(patch)
-        assert patch.validate().ok
+        # the kept report against a full pass over the same bare vertices
+        # and tiles, placed unchecked
+        fresh = _planted(alpha, patch.tiles, [p for p, _xy in bare])
+        assert fresh.validate().ok and patch.validate() == fresh.validate()
         assert_frontiers_match_full_scan(patch, every_step)
         if now_and_then is None and len(patch) >= 2:
             now_and_then, made_at = _frontiers(patch), len(patch)
@@ -624,10 +629,12 @@ def _tile_list(alpha, steps):
     return out
 
 
-def _planted(alpha, tiles):
+def _planted(alpha, tiles, bare=()):
     """The tiles placed in order with no check at all, as from_tiles places
-    them before it validates."""
+    them before it validates, after the bare vertices at the points bare."""
     patch = Patch(alpha)
+    for point in bare:
+        patch.add_vertex(point)
     for t in tiles:
         geom, pts = patch._corners(t)
         patch._commit(t, geom, pts, patch._locate(geom[0], pts))
@@ -696,6 +703,35 @@ def test_from_tiles_refuses_what_add_tile_refuses(alpha, steps):
     assert_state_matches_fresh_scan(planted)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]),
+    batch=BATCH_STEPS,
+    steps=STEPS,
+)
+def test_kept_report_matches_a_fresh_validation(alpha, batch, steps):
+    """A patch that from_tiles has validated keeps its report through
+    add_tile, add_vertex and pop_tile, and the kept report is the one that
+    validating the same tiles afresh gives."""
+    accepted = [(pick, which, op, 0) for pick, which, op, _keep in batch]
+    patch = Patch.from_tiles(alpha, _tile_list(alpha, accepted))
+    for pick, which, op, _call in steps:
+        if op == 0:
+            for _ in range(min(pick + 1, len(patch))):
+                patch.pop_tile()
+        elif op == 1:
+            _probe_vertices(patch, pick, [])
+        else:
+            make = {2: _turned_candidate, 3: _slid_candidate, 4: _stuck_candidate}
+            try:
+                patch.add_tile(make.get(op, _next_candidate)(patch, pick, which))
+            except ShieldError:
+                pass
+        kept = patch._report
+        assert kept is not None
+        assert kept == Patch.from_tiles(alpha, patch.tiles).validate()
+
+
 @pytest.mark.parametrize(
     "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
 )
@@ -714,4 +750,6 @@ def test_pops_keep_the_boundary_of_an_overused_edge(alpha):
     while len(patch):
         assert_state_matches_fresh_scan(patch)
         patch.pop_tile()
+        # a pop keeps no report of a fault that may be gone
+        assert patch.validate() == _planted(alpha, patch.tiles).validate()
     assert not patch.boundary_edges()
