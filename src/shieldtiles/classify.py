@@ -54,7 +54,6 @@ class Terminus:
 @dataclass(frozen=True)
 class FaultLine:
     vertices: tuple[int, ...]
-    direction: tuple[float, float]  # unit vector along the mean chain axis
     termini: tuple[Terminus, Terminus]
 
 
@@ -118,14 +117,7 @@ def _fault_line(patch: Patch, verts: list[int], termini) -> FaultLine:
     if (round(first[0], 6), round(first[1], 6)) > (round(last[0], 6), round(last[1], 6)):
         verts.reverse()
         termini = (termini[1], termini[0])
-    ax, ay = patch.vertex_xy(verts[0])
-    bx, by = patch.vertex_xy(verts[-1])
-    if len(verts) > 1:
-        norm = math.hypot(bx - ax, by - ay)
-        direction = ((bx - ax) / norm, (by - ay) / norm)
-    else:
-        direction = (1.0, 0.0)
-    return FaultLine(tuple(verts), direction, termini)
+    return FaultLine(tuple(verts), termini)
 
 
 # ---------------------------------------------------------------------------

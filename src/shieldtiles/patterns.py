@@ -173,12 +173,12 @@ class _Search:
                 p.pop_tile()
                 refused.append(cand)
                 continue
-            self.frontier.add(vids)
+            self.frontier.touch(vids)
             sub = self.run()
             if sub is True:
                 return True
             p.pop_tile()
-            self.frontier.pop()
+            self.frontier.touch(vids)
             if sub is None:
                 found = True
             elif me not in sub:
@@ -218,11 +218,6 @@ def _flush_candidates(point: ExactPoint, d: Direction) -> list[Placement]:
     return [placement_with_corner(*LABEL_CORNERS[lab], point, d) for lab in "TAB"]
 
 
-# heap rank of a vertex beyond must_close; a vertex within it ranks by the
-# fewest flush labels, 0 to 3, that one of its gaps admits
-_BEYOND = 4
-
-
 class _DiskFrontier:
     """The open vertex to fill next, in a disk.
 
@@ -236,21 +231,16 @@ class _DiskFrontier:
     takes the nearest gap-bearing end of a boundary edge that meets the
     disk, and its gap of least start direction.
 
-    It holds, for each vertex, how many boundary edges at that vertex meet
-    the disk.  The counts are scanned from patch.boundary_edges() once;
-    after that the search that owns it reports each tile just added (add)
-    and each pop (pop), last in, first out.  An edge of an added tile that
-    meets the disk and is now a boundary edge was brought in by the tile
-    (+1 at both ends); any other such edge was closed by it (-1).  A pop
-    undoes the latest add.
-
-    A heap of (labels, dist2, vid), labels _BEYOND past must_close, holds
-    every counted vertex with gaps.  A count and the gaps of a vertex
-    change only when a tile at it is added or popped, so each counted
-    vertex of the tile is pushed then.  A call drops entries from the top
-    until one equals the vertex's entry now (a popped vertex's id is
-    reused) and the vertex has gaps.  Stale entries are dropped in a
-    rebuild from the counts once they outnumber them.
+    An open vertex within must_close is always such an end: the edge
+    along one of its gaps has one tile and lies no farther from the
+    center than the vertex.  So a heap of (labels, dist2, vid) holds the
+    open vertices within must_close, read from patch.vertex_ids() at the
+    start, and the boundary edges are scanned only when it has none.  The
+    gaps of a vertex change only when a tile at it is added or popped; the
+    search that owns the frontier reports that tile's vertices (touch),
+    which are pushed again.  A call drops entries from the top until one
+    equals the vertex's entry now (a popped vertex's id is reused).  Stale
+    entries are dropped in a rebuild once they outnumber the vertices.
     """
 
     def __init__(self, patch: Patch, center_xy, radius: float):
@@ -259,101 +249,79 @@ class _DiskFrontier:
         self.radius = radius
         # a vertex in the closed disk closes in every completion, since each
         # edge at it meets the disk: half of GEOM_TOL is more than float
-        # rounding can take off the radius + GEOM_TOL test of _meets
+        # rounding can take off the radius + GEOM_TOL test of _beyond
         self.must_close = radius + GEOM_TOL / 2
         self.close2 = self.must_close ** 2
-        self.boundary = patch.boundary_edges()  # live view
-        self.counts = {}  # vid -> boundary edges at it that meet the disk
-        for u, v in self.boundary:
-            if self._meets(u, v):
-                self._bump(u, 1)
-                self._bump(v, 1)
-        self.heap = []
-        for w in self.counts:
-            self._push(w)
-        self.changes = []  # (vids, ((u, v, +-1), ...)) per reported tile
+        self._rebuild()
 
-    def _meets(self, u, v) -> bool:
-        p = self.patch
-        return gk.point_segment_dist(
-            self.cx, self.cy, *p.vertex_xy(u), *p.vertex_xy(v)
-        ) <= self.radius + GEOM_TOL
+    def _rebuild(self):
+        entries = (self._entry(w) for w in self.patch.vertex_ids())
+        self.heap = [e for e in entries if e is not None]
+        heapq.heapify(self.heap)
+
+    def _dist2(self, w) -> float:
+        x, y = self.patch.vertex_xy(w)
+        return (x - self.cx) ** 2 + (y - self.cy) ** 2
+
+    def _labels(self, gap) -> int:
+        return len(admitted_labels(gap[1], self.patch.alpha))
 
     def _entry(self, w):
-        """(labels, dist2, w), or None for a vertex within must_close that
-        has no gaps."""
-        x, y = self.patch.vertex_xy(w)
-        d2 = (x - self.cx) ** 2 + (y - self.cy) ** 2
+        """(labels, dist2, w) for an open vertex within must_close, else
+        None."""
+        d2 = self._dist2(w)
         if d2 > self.close2:
-            return _BEYOND, d2, w
+            return None
         gaps = self.patch.gaps(w)
         if not gaps:
             return None
-        alpha = self.patch.alpha
-        return min(len(admitted_labels(g[1], alpha)) for g in gaps), d2, w
+        return min(self._labels(g) for g in gaps), d2, w
 
-    def _push(self, w):
-        entry = self._entry(w)
-        if entry is None:
-            return
-        heapq.heappush(self.heap, entry)
-        if len(self.heap) > 2 * len(self.counts) + 64:
-            entries = (self._entry(v) for v in self.counts)
-            self.heap = [e for e in entries if e is not None]
-            heapq.heapify(self.heap)
-
-    def _bump(self, w, step):
-        c = self.counts.get(w, 0) + step
-        if c:
-            self.counts[w] = c
-        else:
-            del self.counts[w]
-
-    def add(self, vids):
-        """Count in the tile that add_tile has just placed at vids."""
-        changes = []
-        n = len(vids)
-        for i in range(n):
-            u, v = vids[i], vids[(i + 1) % n]
-            if self._meets(u, v):
-                ek = (u, v) if u < v else (v, u)
-                step = 1 if ek in self.boundary else -1
-                self._bump(u, step)
-                self._bump(v, step)
-                changes.append((u, v, step))
-        self.changes.append((vids, changes))
+    def touch(self, vids):
+        """Re-rank the vertices of a tile just added or popped."""
+        live = self.patch.vertex_ids()
         for w in vids:
-            if w in self.counts:
-                self._push(w)
-
-    def pop(self):
-        """Undo the latest add, once its tile is popped."""
-        vids, changes = self.changes.pop()
-        for u, v, step in changes:
-            self._bump(u, -step)
-            self._bump(v, -step)
-        for w in vids:
-            if w in self.counts:
-                self._push(w)
+            if w in live:
+                entry = self._entry(w)
+                if entry is not None:
+                    heapq.heappush(self.heap, entry)
+        if len(self.heap) > 2 * len(live) + 64:
+            self._rebuild()
 
     def __call__(self):
         p = self.patch
         heap = self.heap
+        live = p.vertex_ids()
+        rad = p.eval_rad
         while heap:
             top = heap[0]
             w = top[2]
-            gaps = p.gaps(w) if w in self.counts and top == self._entry(w) else ()
-            if gaps:
-                rad = p.eval_rad
-                if top[0] == _BEYOND:
-                    gap = min(gaps, key=lambda g: g[0].value(rad))
-                else:
-                    gap = min(gaps, key=lambda g: (
-                        len(admitted_labels(g[1], p.alpha)), g[0].value(rad)
-                    ))
+            if w in live and top == self._entry(w):
+                gap = min(p.gaps(w), key=lambda g: (
+                    self._labels(g), g[0].value(rad)
+                ))
                 return top[1], w, gap
             heapq.heappop(heap)
-        return None
+        return self._beyond()
+
+    def _beyond(self):
+        """The nearest gap-bearing end of a boundary edge that meets the
+        disk, with its gap of least start direction, or None."""
+        p = self.patch
+        reach = self.radius + GEOM_TOL
+        ends = []
+        for u, v in p.boundary_edges():
+            if gk.point_segment_dist(
+                self.cx, self.cy, *p.vertex_xy(u), *p.vertex_xy(v)
+            ) <= reach:
+                ends += (u, v)
+        nearest = min(
+            ((self._dist2(w), w) for w in ends if p.gaps(w)), default=None
+        )
+        if nearest is None:
+            return None
+        rad = p.eval_rad
+        return *nearest, min(p.gaps(nearest[1]), key=lambda g: g[0].value(rad))
 
 
 def fill_disk(
@@ -441,8 +409,12 @@ def complete_ball(
     budget bounds the nodes of all these searches together, and they share
     its table of flush candidates; the star tiles are placed directly and
     spend none.  On exhaustion BudgetExceeded is raised carrying the
-    witnessed balls found so far.
+    witnessed balls found so far.  A radius n or a margin that is negative
+    or not finite raises ValueError before any search.
     """
+    for name, r in (("radius n", n), ("margin", margin)):
+        if not (math.isfinite(r) and r >= 0):
+            raise ValueError(f"{name} = {r} is not a finite number >= 0")
     nodes = _as_budget(budget)
     found: dict[str, PatternBall] = {}
     refuted: set[str] = set()

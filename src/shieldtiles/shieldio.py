@@ -66,11 +66,17 @@ def dumps(patch: Patch) -> str:
 def _parse_alpha_line(parts: list[str]) -> AlphaSpec:
     if parts[:2] == ["alpha", "generic"] and len(parts) == 2:
         return make_alpha("generic")
-    if parts[:2] == ["alpha", "rational"] and len(parts) == 4:
-        return make_alpha("rational", int(parts[2]), int(parts[3]))
-    if parts[:2] == ["alpha", "degrees"] and len(parts) == 3:
-        return make_alpha("decimal", float(parts[2]))
-    raise FormatError(f"bad alpha line: {' '.join(parts)}")
+    args = None
+    try:
+        if parts[:2] == ["alpha", "rational"] and len(parts) == 4:
+            args = ("rational", int(parts[2]), int(parts[3]))
+        elif parts[:2] == ["alpha", "degrees"] and len(parts) == 3:
+            args = ("decimal", float(parts[2]))
+    except ValueError:
+        pass
+    if args is None:
+        raise FormatError(f"bad alpha line: {' '.join(parts)}")
+    return make_alpha(*args)
 
 
 def _parse_exact(text: str) -> ExactPoint:
@@ -90,15 +96,21 @@ def _parse_tile(parts: list[str]) -> Placement:
     kind = parts[1]
     if kind not in ("T", "S"):
         raise FormatError(f"unknown tile kind {kind!r}")
-    if parts[2] == "exact" and len(parts) == 6:
-        anchor = _parse_exact(parts[3])
-        ha, hb = parts[4], parts[5]
-    elif parts[2] == "num" and len(parts) == 7:
-        anchor = FloatPoint(float(parts[3]), float(parts[4]))
-        ha, hb = parts[5], parts[6]
-    else:
-        raise FormatError(f"bad tile line: {' '.join(parts)}")
-    return Placement(kind, anchor, Direction.of(int(ha), int(hb)))
+    # a malformed number raises ValueError, from int, float or unpacking
+    try:
+        if parts[2] == "exact" and len(parts) == 6:
+            anchor = _parse_exact(parts[3])
+            ha, hb = parts[4], parts[5]
+        elif parts[2] == "num" and len(parts) == 7:
+            anchor = FloatPoint(float(parts[3]), float(parts[4]))
+            if not (math.isfinite(anchor.x) and math.isfinite(anchor.y)):
+                raise ValueError("anchor not finite")
+            ha, hb = parts[5], parts[6]
+        else:
+            raise ValueError("no anchor")
+        return Placement(kind, anchor, Direction.of(int(ha), int(hb)))
+    except ValueError:
+        raise FormatError(f"bad tile line: {' '.join(parts)}") from None
 
 
 def read_patch(src: TextIO | Iterable[str]) -> Patch:
@@ -119,7 +131,11 @@ def read_patch(src: TextIO | Iterable[str]) -> Patch:
             raise FormatError(f"unexpected line: {ln}")
         tiles.append(_parse_tile(parts))
     # validated once, whole; raises what add_tile would, tile by tile
-    return Patch.from_tiles(alpha, tiles)
+    try:
+        return Patch.from_tiles(alpha, tiles)
+    except OverflowError as exc:
+        # coordinates too large for floats, from finite numbers
+        raise FormatError(f"coordinates out of range: {exc}") from None
 
 
 def loads(text: str) -> Patch:

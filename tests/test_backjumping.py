@@ -56,11 +56,11 @@ class _Chronological(_Search):
             if not self._prune(cand, vids):
                 self.patch.pop_tile()
                 continue
-            self.frontier.add(vids)
+            self.frontier.touch(vids)
             if self.run():
                 return True
             self.patch.pop_tile()
-            self.frontier.pop()
+            self.frontier.touch(vids)
         return False
 
 

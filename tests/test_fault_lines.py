@@ -5,7 +5,7 @@ The _reference_* functions are the fault-line tracer as it was before
 the one-pass spine map: every step of a walk scans every edge of the
 patch, every trace rebuilds the set of fault vertices, and fault_lines
 traces from every fault vertex and drops the repeats.  Both must report
-the same chains, in the same order, with the same direction and termini.
+the same chains, in the same order, with the same orientation and termini.
 """
 
 import math
@@ -73,14 +73,7 @@ def _reference_trace(patch, v):
     if (round(first[0], 6), round(first[1], 6)) > (round(last[0], 6), round(last[1], 6)):
         verts.reverse()
         termini = (termini[1], termini[0])
-    ax, ay = patch.vertex_xy(verts[0])
-    bx, by = patch.vertex_xy(verts[-1])
-    if len(verts) > 1:
-        norm = math.hypot(bx - ax, by - ay)
-        direction = ((bx - ax) / norm, (by - ay) / norm)
-    else:
-        direction = (1.0, 0.0)
-    return FaultLine(tuple(verts), direction, termini)
+    return FaultLine(tuple(verts), termini)
 
 
 def _reference_fault_lines(patch):

@@ -7,6 +7,7 @@ from shieldtiles.cli import main
 from shieldtiles.errors import (
     AtlasViolation,
     EdgeMismatchError,
+    OutOfRange,
     OverlapError,
     ShieldError,
 )
@@ -72,23 +73,44 @@ def test_malformed_inputs_rejected(text):
         loads(text)
 
 
+HEAD = "shield-patch 1\nalpha "
+BIG = "1" + "0" * 400  # too large for a float
+
+
 @pytest.mark.parametrize("text, error", [
     ("shield-patch 1\nalpha generic\ntile T\n", FormatError),
     ("shield-patch 1\nalpha generic\ntile\n", FormatError),
-    ("shield-patch 1\nalpha rational 1 0\n", ValueError),
-], ids=["tile-without-anchor", "bare-tile", "zero-denominator"])
+    ("shield-patch 1\nalpha rational 1 0\n", OutOfRange),
+    ("shield-patch 1\nalpha rational x 2\n", FormatError),
+    (HEAD + "degrees 110\ntile T num inf 0 0 0\n", FormatError),
+    (HEAD + "degrees 110\ntile T num 1e400 0 0 0\n", FormatError),
+    (HEAD + "degrees 110\ntile T num nan 0 0 0\n", FormatError),
+    (HEAD + "degrees 110\ntile T num 1e308 1e308 0 0\n", FormatError),
+    (HEAD + f"generic\ntile T exact 0:{BIG},0 0 0\n", FormatError),
+    (HEAD + f"degrees 110\ntile T exact 0:{BIG},0 0 0\n", FormatError),
+    (HEAD + "generic\ntile T exact 1:2 0 0\n", FormatError),
+    (HEAD + "generic\ntile T exact 0:x,1 0 0\n", FormatError),
+    (HEAD + "generic\ntile T exact 0:1:2 0 0\n", FormatError),
+    (HEAD + "generic\ntile T exact 0:0,0 a 0\n", FormatError),
+], ids=[
+    "tile-without-anchor", "bare-tile", "zero-denominator", "alpha-not-int",
+    "num-inf", "num-1e400", "num-nan", "num-overflows", "exact-400-digits",
+    "exact-400-digits-decimal", "exact-no-comma", "exact-not-int",
+    "exact-two-colons", "heading-not-int",
+])
 def test_short_lines_and_zero_denominators_are_errors(tmp_path, capsys, text, error):
     # an error of the package, which the command line reports, not a traceback
     with pytest.raises(ShieldError) as exc:
         loads(text)
-    assert isinstance(exc.value, error)
+    assert type(exc.value) is error
     f = tmp_path / "bad.shield"
     f.write_text(text)
     assert main(["classify", str(f)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["render", str(f), "--svg", str(tmp_path / "bad.svg")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
-HEAD = "shield-patch 1\nalpha "
 # invalid files, with the error that reading them raised when each tile
 # went through add_tile in turn
 INVALID_FILES = {
@@ -209,6 +231,14 @@ def test_cli_enumerate(capsys):
         "enumerate", "--alpha", "generic", "--radius", "0.1",
     ]) == 0
     assert "P_n = 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan", "inf"])
+def test_cli_enumerate_refuses_radii_that_make_no_sense(capsys, radius):
+    assert main([
+        "enumerate", "--alpha", "generic", "--radius", radius,
+    ]) == 1
+    assert "error: radius n" in capsys.readouterr().err
 
 
 def test_cli_fillings(capsys):

@@ -8,9 +8,9 @@ After every step the boundary set, the edge midpoint index and every
 cached gap list must equal what a fresh scan gives, and every add_tile
 and add_vertex verdict must equal the one of a brute force reference
 that checks all tiles, edges and vertices.  A duplicate must be refused,
-and the incremental disk frontier, told of each add and pop, must return
-what a full scan of the boundary edges returns, whether it is called
-after every step or only now and then.
+and the incremental disk frontier, told of the vertices of each tile
+added or popped, must return what a full scan of the boundary edges
+returns, whether it is called after every step or only now and then.
 
 Batch builds are checked the same way: Patch.from_tiles must refuse a
 tile list exactly when adding its tiles one by one does, with the same
@@ -449,9 +449,10 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
             if len(patch) - count < made_at:
                 now_and_then, made_at = None, 0
             for _ in range(count):
+                vids = patch.tile_vertices(len(patch) - 1)
                 patch.pop_tile()
                 for f in _followers(every_step, now_and_then):
-                    f.pop()
+                    f.touch(vids)
         elif op == 1:
             _probe_vertices(patch, pick, bare)
         else:
@@ -472,7 +473,7 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
             assert got is want
             if got is None:
                 for f in _followers(every_step, now_and_then):
-                    f.add(vids)
+                    f.touch(vids)
         assert_state_matches_fresh_scan(patch)
         # the kept report against a full pass over the same bare vertices
         # and tiles, placed unchecked
@@ -517,6 +518,25 @@ def test_frontier_follows_pops_and_adds_between_calls(alpha):
     assert_frontiers_match_full_scan(patch, frontiers)
 
 
+@pytest.mark.parametrize(
+    "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
+)
+def test_frontier_falls_back_to_an_edge_beyond_must_close(alpha):
+    """The edge from (0, 0) to (1, 0) meets the disk, but both its ends lie
+    beyond must_close, at equal distance: the frontier takes vertex 0 and
+    its one gap, from 60 degrees."""
+    patch = Patch(alpha)
+    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+    center, radius = (0.5, -0.2), 0.3
+    frontier = _DiskFrontier(patch, center, radius)
+    assert not frontier.heap
+    got = frontier()
+    assert got == reference_frontier(patch, center, radius)
+    d2, vid, gap = got
+    assert vid == 0 and d2 > frontier.must_close ** 2
+    assert gap == patch.gaps(0)[0] and gap[0] == Direction.of(1, 0)
+
+
 def _grow(patch, steps, offset, frontiers=()):
     """Place steps tiles, each the first candidate that fits at one of
     the nearest open vertices, and report each to the frontiers."""
@@ -530,14 +550,15 @@ def _grow(patch, steps, offset, frontiers=()):
         else:
             raise AssertionError("no candidate fits")
         for f in frontiers:
-            f.add(vids)
+            f.touch(vids)
 
 
 def _pop(patch, count, frontiers):
     for _ in range(count):
+        vids = patch.tile_vertices(len(patch) - 1)
         patch.pop_tile()
         for f in frontiers:
-            f.pop()
+            f.touch(vids)
 
 
 @pytest.mark.parametrize(

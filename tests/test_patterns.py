@@ -188,6 +188,24 @@ def test_node_budget_is_exact():
     assert short.patterns <= full.patterns
 
 
+@pytest.mark.parametrize("n, margin", [
+    (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, -0.5), (1.0, math.nan),
+], ids=["n-negative", "n-nan", "n-inf", "margin-negative", "margin-nan"])
+def test_radii_that_make_no_sense_are_refused_before_any_search(
+    monkeypatch, n, margin
+):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(patterns, "fill_disk", no_search)
+    name = "radius n" if margin == 1.0 else "margin"
+    with pytest.raises(ValueError, match=name):
+        complete_ball(GENERIC, n, margin=margin)
+    if margin == 1.0:
+        with pytest.raises(ValueError, match=name):
+            count_patterns(n, GENERIC)
+
+
 def test_node_budget_is_shared_by_all_searches_of_one_call():
     nodes = NodeBudget(10_000)
     balls = complete_ball(GENERIC, 1.0, budget=nodes)
@@ -293,13 +311,12 @@ def test_search_nodes_pinned(n, alpha, nodes):
 
 
 class _NearestFirst(patterns._DiskFrontier):
-    """The frontier without fail-first: every vertex ranks as one beyond
-    must_close, so every call takes the nearest open vertex and its gap of
+    """The frontier without fail-first: every gap ranks as admitting no
+    label, so every call takes the nearest must-close vertex and its gap of
     least start direction."""
 
-    def _entry(self, w):
-        x, y = self.patch.vertex_xy(w)
-        return patterns._BEYOND, (x - self.cx) ** 2 + (y - self.cy) ** 2, w
+    def _labels(self, gap):
+        return 0
 
 
 @pytest.mark.parametrize("n", [1.0, 1.5])
