@@ -199,7 +199,7 @@ def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
     v2 = v1.rotated(SymbolicAngle(1, 0))
     centers = [c for _i, _j, c in lattice_points(v1, v2, extent + 3.0, rad)]
     patch = Patch.from_tiles(alpha, _hex_seeds(centers, order))
-    whitelist = {patch.add_vertex(c) for c in centers}
+    whitelist = {patch.vertex_at(c) for c in centers}
 
     def no_stray_hex(p: Patch, _cand, vids) -> bool:
         # three or more triangle corners at a vertex force a hex there
@@ -211,7 +211,7 @@ def gen_triangle_tiling(order, extent: int, alpha: AlphaSpec) -> Patch:
                 return False
         return True
 
-    center_vid = patch.add_vertex(ORIGIN)
+    center_vid = patch.vertex_at(ORIGIN)
     done = fill_disk(patch, center_vid, extent + 0.5, tile_filter=no_stray_hex)
     if not done:
         raise ShieldError("triangle tiling window completion failed")

@@ -2,25 +2,26 @@
 
 A Patch stores placed tiles together with a vertex index (angular corner
 intervals per vertex), an edge index, and spatial hashes for the numeric
-checks.  Vertices are identified by exact coefficient maps for generic
-alpha.  For numeric alpha two points are one vertex when both coordinates
-agree within GEOM_TOL; the candidates are the vertices in the unit cells
-that the point's +-GEOM_TOL box touches, almost always one cell.
+checks.  A vertex exists exactly while some tile has a corner there.
+Vertices are identified by exact coefficient maps for generic alpha.  For
+numeric alpha two points are one vertex when both coordinates agree
+within GEOM_TOL; the candidates are the vertices in the unit cells that
+the point's +-GEOM_TOL box touches, almost always one cell.
 
 Every placement check looks only at nearby tiles.  Edges are unit
 segments, so a point can lie on an edge only within 1/2 + GEOM_TOL of its
 midpoint; edges are hashed by the unit cell of their midpoint.  Two tiles
-can overlap only if their bounding discs meet.  The set of boundary edges
-and the gaps at each vertex are kept up to date as tiles come and go.
+can overlap only if their bounding discs meet.  The gaps at each vertex
+are kept up to date as tiles come and go.
 
 Tiles come in two ways, under one placement rule:
 
 - add_tile checks one tile against the patch, then places it.  No vertex
-  lies strictly inside an edge (add_vertex and add_tile each refuse to
-  break that), so it tests only what the tile changes: new corners
-  against edges, new edges against vertices, the corner intervals at each
-  vertex it shares, polygon overlap against the nearby tiles that share no
-  vertex with it, and the stars it closes (see add_tile).
+  lies strictly inside an edge (add_tile refuses to break that), so it
+  tests only what the tile changes: new corners against edges, new edges
+  against vertices, the corner intervals at each vertex it shares,
+  polygon overlap against the nearby tiles that share no vertex with it,
+  and the stars it closes (see add_tile).
 - from_tiles places a list of tiles unchecked, then runs validate() once.
   validate() checks the whole patch by add_tile's rule: edges with more
   than two tiles, vertices inside edges, the corner intervals at every
@@ -90,16 +91,12 @@ class ValidationReport:
 
 
 class _Vertex:
-    __slots__ = ("point", "xy", "intervals")
+    __slots__ = ("xy", "intervals")
 
-    def __init__(self, point, xy):
-        # the exact point, None for a numeric anchor, or, at numeric alpha,
-        # (tile, corner index) of the tile that made the vertex until
-        # vertex_point asks for the point
-        self.point = point
+    def __init__(self, xy):
         self.xy = xy
         # interval: (start_rad, end_rad, start_dir, angle, tile_idx, label),
-        # in the order the tiles were placed
+        # in the order the tiles were placed; the first tile made the vertex
         self.intervals: list[tuple] = []
 
 
@@ -116,8 +113,6 @@ class Patch:
         self._vertices: list[_Vertex] = []
         self._key2vid: dict = {}
         self._edges: dict[tuple[int, int], list[int]] = {}
-        # edges with exactly one tile, in no meaningful order
-        self._boundary: dict[tuple[int, int], None] = {}
         # unit cell of an edge's midpoint -> [(mx, my, ax, ay, bx, by, edge)]
         self._mid: dict[tuple[int, int], list[tuple]] = {}
         # per tile: mean of its corners and greatest corner distance from it
@@ -127,11 +122,9 @@ class Patch:
         # vid -> (gaps, index in the sorted intervals of the one before each
         # gap); dropped whenever the vertex's intervals change
         self._gap_cache: dict[int, tuple] = {}
-        # one entry of reversible effects per placed tile, for pop_tile
-        self._undo: list[tuple] = []
         self._frozen = False
         # the report of validate(), kept while it holds: once validate() has
-        # found the patch valid, add_tile, add_vertex and pop_tile keep it so
+        # found the patch valid, add_tile and pop_tile keep it so
         self._report: ValidationReport | None = None
 
     @classmethod
@@ -159,7 +152,7 @@ class Patch:
 
     # -- vertex identification ------------------------------------------
 
-    def _find_vid(self, xy, point=None):
+    def _find_vid(self, xy, point):
         if self.exact_keys:
             return self._key2vid.get(point.coeffs)
         x, y = xy
@@ -169,16 +162,13 @@ class Patch:
                 return vid
         return None
 
-    def _make_vid(self, xy, point, journal=None):
+    def _make_vid(self, xy, point):
         """Id of a new vertex at a point that _find_vid has just missed."""
         vid = len(self._vertices)
-        self._vertices.append(_Vertex(point, xy))
+        self._vertices.append(_Vertex(xy))
         if self.exact_keys:
             self._key2vid[point.coeffs] = vid
-        vcell = (math.floor(xy[0]), math.floor(xy[1]))
-        self._vgrid.setdefault(vcell, []).append(vid)
-        if journal is not None:
-            journal.append((vid, point, vcell))
+        self._vgrid.setdefault((math.floor(xy[0]), math.floor(xy[1])), []).append(vid)
         return vid
 
     def _locate(self, xys, pts) -> tuple[int, ...]:
@@ -273,10 +263,10 @@ class Patch:
 
         Returns the vertex ids of the tile corners.
 
-        No vertex of the patch lies strictly inside an edge: add_vertex and
-        add_tile each refuse a vertex or an edge that would break this.  So
-        three tests are left out, each of which could only find what the
-        invariant rules out or what another test has ruled out already:
+        No vertex of the patch lies strictly inside an edge: add_tile
+        refuses a corner or an edge that would break this.  So three tests
+        are left out, each of which could only find what the invariant
+        rules out or what another test has ruled out already:
 
         - the corner-inside-edge test of a corner that lands on a vertex
           of the patch: the corner is that vertex, which lies inside no
@@ -356,15 +346,15 @@ class Patch:
         """Place a tile unchecked at the vertex ids that _locate gave it,
         dropping the kept report.
 
-        An edge keeps its tiles in the order they came; it is a boundary
-        edge while it has exactly one."""
+        An edge and a vertex each keep their tiles in the order they came,
+        so the last tile placed is the last one at each of its edges and
+        vertices."""
         xys, flat, disc = geom
         old = len(self._vertices)
-        journal = []
-        for i, (xy, pt, vid) in enumerate(zip(xys, pts, vids)):
+        for xy, pt, vid in zip(xys, pts, vids):
             if vid >= old:
                 # new vertices are made in the order of their tentative ids
-                self._make_vid(xy, (pl, i) if pt is None else pt, journal)
+                self._make_vid(xy, pt)
         tidx = len(self.tiles)
         self.tiles.append(pl)
         self._tile_vids.append(vids)
@@ -378,29 +368,26 @@ class Patch:
             ts = self._edges.get(ek)
             if ts is None:
                 self._edges[ek] = [tidx]
-                self._boundary[ek] = None
                 mcell, seg = _mid_entry(*xys[i], *xys[j], ek)
                 self._mid.setdefault(mcell, []).append(seg)
-                continue
-            ts.append(tidx)
-            if len(ts) == 2:
-                del self._boundary[ek]
+            else:
+                ts.append(tidx)
         spans = pl.corner_spans(self.eval_rad)
         for (lab, d_out, ang), (s, e), vid in zip(pl.corner_dirs(), spans, vids):
             self._vertices[vid].intervals.append((s, e, d_out, ang, tidx, lab))
             self._gap_cache.pop(vid, None)
         cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
         self._grid.setdefault(cell, []).append(tidx)
-        self._undo.append((journal, vids, cell))
         self._report = None
         return vids
 
     def pop_tile(self):
         """Undo the most recent add_tile.
 
-        Raises ValueError, and changes nothing, when a vertex has been made
-        since that tile (add_vertex at a new point): the tile's new vertices
-        are then no longer the last ones.
+        Tiles leave last in, first out, so the popped tile is the last one
+        at each of its edges and vertices.  The vertices it made are the
+        last ones, and exactly those it leaves with no tile; an edge it
+        leaves with no tile came in with it, from its corners.
 
         A valid patch stays valid: a removed tile takes away edges, corners
         and the vertices that it alone made, so no edge gains a tile, no
@@ -408,44 +395,36 @@ class Patch:
         star grows, and two tiles that shared a vertex still share it."""
         if self._frozen:
             raise ValueError("patch is frozen")
-        journal, vids, cell = self._undo[-1]
-        if journal and journal[-1][0] != len(self._vertices) - 1:
-            raise ValueError("a vertex was made after the last tile")
-        self._undo.pop()
-        tidx = len(self.tiles) - 1
-        self.tiles.pop()
-        self._tile_vids.pop()
+        pl = self.tiles.pop()
+        vids = self._tile_vids.pop()
         poly = self._tile_polys.pop()
-        self._tile_discs.pop()
+        cx, cy, _r = self._tile_discs.pop()
         n = len(vids)
         for i in range(n):
             u, v = vids[i], vids[(i + 1) % n]
-            ek = (min(u, v), max(u, v))
+            ek = (u, v) if u < v else (v, u)
             ts = self._edges[ek]
-            ts.remove(tidx)
-            if len(ts) == 1:
-                self._boundary[ek] = None
+            ts.pop()
             if ts:
                 continue
-            # tiles are popped last in, first out, so an edge left without
-            # tiles was brought in by this tile, from these coordinates
             del self._edges[ek]
-            del self._boundary[ek]
             j = (i + 1) % n
             mcell, seg = _mid_entry(
                 *poly[2 * i:2 * i + 2], *poly[2 * j:2 * j + 2], ek
             )
             self._mid[mcell].remove(seg)
-        for vid in set(vids):
-            vtx = self._vertices[vid]
-            vtx.intervals = [iv for iv in vtx.intervals if iv[4] != tidx]
+        for vid in vids:
+            self._vertices[vid].intervals.pop()
             self._gap_cache.pop(vid, None)
-        self._grid[cell].remove(tidx)
-        for vid, point, vcell in reversed(journal):
-            self._vertices.pop()
-            if self.exact_keys:
-                del self._key2vid[point.coeffs]
-            self._vgrid[vcell].remove(vid)
+        self._grid[(math.floor(cx / GRID), math.floor(cy / GRID))].pop()
+        verts = self._vertices
+        while verts and not verts[-1].intervals:
+            x, y = verts.pop().xy
+            self._vgrid[(math.floor(x), math.floor(y))].pop()
+        if self.exact_keys:
+            for pt, vid in zip(pl.corner_points(), vids):
+                if vid >= len(verts):
+                    del self._key2vid[pt.coeffs]
         if self._report is not None and not self._report.ok:
             self._report = None
 
@@ -457,22 +436,13 @@ class Patch:
     def __len__(self) -> int:
         return len(self.tiles)
 
-    def add_vertex(self, point: ExactPoint) -> int:
-        """Register a bare vertex (a center with no tiles yet).
-
-        Raises EdgeMismatchError if the point is not a vertex yet and lies
-        strictly inside an edge, and ValueError on a frozen patch.  A bare
-        vertex inside no edge changes no verdict of validate(), so the kept
-        report stays."""
-        if self._frozen:
-            raise ValueError("patch is frozen")
-        xy = point.xy(self.eval_rad)
-        vid = self._find_vid(xy, point)
-        if vid is not None:
-            return vid
-        if self._inside_some_edge(*xy):
-            raise EdgeMismatchError("vertex lies inside an existing edge")
-        return self._make_vid(xy, point)
+    def vertex_at(self, point) -> int:
+        """Id of the vertex at a point; KeyError where no tile has a
+        corner."""
+        vid = self._find_vid(point.xy(self.eval_rad), point)
+        if vid is None:
+            raise KeyError(f"no tile has a corner at {point}")
+        return vid
 
     def vertex_ids(self) -> range:
         return range(len(self._vertices))
@@ -481,14 +451,13 @@ class Patch:
         return self._vertices[vid].xy
 
     def vertex_point(self, vid: int):
-        """The exact point of a vertex, None if its tile has a numeric
-        anchor.  At numeric alpha it is the point of the corner that made
-        the vertex."""
-        v = self._vertices[vid]
-        if type(v.point) is tuple:
-            pl, i = v.point
-            v.point = pl.corner_points()[i] if pl.is_exact else None
-        return v.point
+        """The exact point of a vertex: the corner there of its first tile,
+        the one that made it; None if that tile has a numeric anchor."""
+        tid = self._vertices[vid].intervals[0][4]
+        pl = self.tiles[tid]
+        if not pl.is_exact:
+            return None
+        return pl.corner_points()[self._tile_vids[tid].index(vid)]
 
     def tile_vertices(self, tid: int) -> tuple[int, ...]:
         """Vertex ids of a tile's corners, anchor first."""
@@ -550,7 +519,7 @@ class Patch:
 
     def _scan_gaps(self, vid: int) -> tuple:
         ivs = sorted(self._vertices[vid].intervals)
-        if not ivs or _closes(ivs):
+        if _closes(ivs):
             return _NO_GAPS
         gaps = []
         after = []
@@ -570,10 +539,9 @@ class Patch:
             after.append(i)
         return tuple(gaps), tuple(after)
 
-    def boundary_edges(self):
-        """Edges with exactly one tile, as a live read-only view: do not add
-        or pop tiles while iterating over it."""
-        return self._boundary.keys()
+    def boundary_edges(self) -> list[tuple[int, int]]:
+        """Edges with exactly one tile."""
+        return [ek for ek, ts in self._edges.items() if len(ts) == 1]
 
     def star_blocks(self, vid: int):
         """Cyclic (word | gap) blocks at a vertex, for atlas matching."""
@@ -682,8 +650,6 @@ class Patch:
                 raise IncompleteCoverage(
                     f"patch boundary within radius {n} of the center"
                 )
-        if not self._vertices[vid].intervals:
-            raise IncompleteCoverage("center vertex has no tiles")
         tiles = [
             pl
             for pl, poly in zip(self.tiles, self._tile_polys)

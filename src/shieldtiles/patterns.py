@@ -423,7 +423,7 @@ def complete_ball(
     def search(tiles, radius: float, list_balls: bool = False) -> bool:
         # a patch of the search's own, validated once and dropped after it
         patch = Patch.from_tiles(alpha, tiles)
-        center = patch.add_vertex(ORIGIN)
+        center = patch.vertex_at(ORIGIN)
 
         def record(p: Patch):
             # an empty frontier leaves no boundary edge within n + GEOM_TOL
@@ -544,10 +544,8 @@ def is_config_extendable(
     completed neighborhood; ProvenImpossible means every branch of the
     bounded search dead-ends; Unknown means the node budget ran out.
     """
-    patch = Patch(alpha)
-    vid = patch.add_vertex(ORIGIN)
-    for t in star_placements(config.word, ORIGIN):
-        patch.add_tile(t)
+    patch = Patch.from_tiles(alpha, star_placements(config.word, ORIGIN))
+    vid = patch.vertex_at(ORIGIN)
     try:
         if fill_disk(patch, vid, float(depth)):
             patch.freeze()

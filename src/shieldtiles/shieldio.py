@@ -130,6 +130,8 @@ def read_patch(src: TextIO | Iterable[str]) -> Patch:
         if parts[0] != "tile":
             raise FormatError(f"unexpected line: {ln}")
         tiles.append(_parse_tile(parts))
+    if alpha.kind == "generic" and not all(t.is_exact for t in tiles):
+        raise FormatError("num anchors need a numeric alpha, not alpha generic")
     # validated once, whole; raises what add_tile would, tile by tile
     try:
         return Patch.from_tiles(alpha, tiles)

@@ -23,7 +23,7 @@ from shieldtiles.generators import (
 from shieldtiles.patch import GEOM_TOL, Patch
 from shieldtiles.patterns import (
     DODECA_CIRCUM,
-    DODECAGON_CENTER,
+    ORIGIN,
     _flush_candidates,
     _Search,
     complete_ball,
@@ -107,8 +107,8 @@ def _count(n, alpha):
 
 def _collar_fillings():
     # the fillings of dodecagon cell (0, 0) inside the rest of a packing
-    # window (see test_patterns.test_no_other_dodecagon_filling), here
-    # searched from a bare vertex at the cell's center
+    # window, searched from the cell's corner at the origin across the
+    # cell, as test_patterns.test_no_other_dodecagon_filling does
     found = []
     for j in range(3):
         window = gen_dodecagon_tiling(DodecagonChoice.constant(j), 6)
@@ -117,7 +117,7 @@ def _collar_fillings():
         for t in window.tiles:
             if t not in cell:
                 patch.add_tile(t)
-        fill_disk(patch, patch.add_vertex(DODECAGON_CENTER), DODECA_CIRCUM + 1e-3,
+        fill_disk(patch, patch.vertex_at(ORIGIN), 2 * DODECA_CIRCUM + 1e-3,
                   on_solution=lambda p: found.append(_placements(p)))
     return sorted(found)
 
@@ -175,9 +175,9 @@ def dead_seeds():
 def test_first_completion_from_a_dead_seed_restores_it(dead_seeds, search_cls):
     for ball in dead_seeds:
         patch = Patch(RIGHT)
-        center = patch.add_vertex(ball.center)
         for t in ball.tiles:
             patch.add_tile(t)
+        center = patch.vertex_at(ball.center)
 
         def state():
             return (list(patch.tiles), set(patch.boundary_edges()),

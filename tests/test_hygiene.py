@@ -156,7 +156,7 @@ def private_members(source: str, cls: str) -> set[str]:
 
 def private_reads(source: str, private: set[str]) -> list[str]:
     """Reads of the named attributes on anything but self or the class
-    itself, as `name (line)`: patch._edges, p._undo and the like."""
+    itself, as `name (line)`: patch._edges, p._vertices and the like."""
     return [
         f"{ast.unparse(n.value)}.{n.attr} (line {n.lineno})"
         for n in ast.walk(ast.parse(source))

@@ -92,11 +92,12 @@ BIG = "1" + "0" * 400  # too large for a float
     (HEAD + "generic\ntile T exact 0:x,1 0 0\n", FormatError),
     (HEAD + "generic\ntile T exact 0:1:2 0 0\n", FormatError),
     (HEAD + "generic\ntile T exact 0:0,0 a 0\n", FormatError),
+    (HEAD + "generic\ntile T num 0 0 0 0\n", FormatError),
 ], ids=[
     "tile-without-anchor", "bare-tile", "zero-denominator", "alpha-not-int",
     "num-inf", "num-1e400", "num-nan", "num-overflows", "exact-400-digits",
     "exact-400-digits-decimal", "exact-no-comma", "exact-not-int",
-    "exact-two-colons", "heading-not-int",
+    "exact-two-colons", "heading-not-int", "num-at-generic",
 ])
 def test_short_lines_and_zero_denominators_are_errors(tmp_path, capsys, text, error):
     # an error of the package, which the command line reports, not a traceback

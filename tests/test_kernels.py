@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from shieldtiles import _puregeom
+from shieldtiles import geomkernel
 
 H = math.sqrt(3) / 2
 UP = (0.0, 0.0, 1.0, 0.0, 0.5, H)  # unit triangle above the x axis
@@ -15,7 +15,7 @@ def _shifted(poly, dx, dy):
 
 
 def test_pure_point_segment_dist():
-    psd = _puregeom.point_segment_dist
+    psd = geomkernel.point_segment_dist
     # foot of the perpendicular inside the segment
     assert psd(0.5, 2.0, 0.0, 0.0, 1.0, 0.0) == pytest.approx(2.0)
     assert psd(0.25, -0.5, 0.0, 0.0, 1.0, 0.0) == pytest.approx(0.5)
@@ -31,27 +31,27 @@ def test_pure_point_segment_dist():
 
 def test_pure_convex_overlap_shared_edge_within_tolerance():
     tol = 1e-6
-    assert not _puregeom.convex_overlap(UP, DOWN, tol)
-    assert not _puregeom.convex_overlap(DOWN, UP, tol)
+    assert not geomkernel.convex_overlap(UP, DOWN, tol)
+    assert not geomkernel.convex_overlap(DOWN, UP, tol)
     # pushed together by a tenth of the tolerance: still only contact
-    assert not _puregeom.convex_overlap(UP, _shifted(DOWN, 0.0, tol / 10), tol)
+    assert not geomkernel.convex_overlap(UP, _shifted(DOWN, 0.0, tol / 10), tol)
     # pushed together by ten times the tolerance: the interiors meet
-    assert _puregeom.convex_overlap(UP, _shifted(DOWN, 0.0, 10 * tol), tol)
+    assert geomkernel.convex_overlap(UP, _shifted(DOWN, 0.0, 10 * tol), tol)
     # squares side by side touch; shifted by half a side they overlap
-    assert not _puregeom.convex_overlap(SQUARE, _shifted(SQUARE, 1.0, 0.0), tol)
-    assert _puregeom.convex_overlap(SQUARE, _shifted(SQUARE, 0.5, 0.5), tol)
+    assert not geomkernel.convex_overlap(SQUARE, _shifted(SQUARE, 1.0, 0.0), tol)
+    assert geomkernel.convex_overlap(SQUARE, _shifted(SQUARE, 0.5, 0.5), tol)
     # corner contact only, and far apart
-    assert not _puregeom.convex_overlap(SQUARE, _shifted(SQUARE, 1.0, 1.0), tol)
-    assert not _puregeom.convex_overlap(SQUARE, _shifted(SQUARE, 5.0, 0.0), tol)
+    assert not geomkernel.convex_overlap(SQUARE, _shifted(SQUARE, 1.0, 1.0), tol)
+    assert not geomkernel.convex_overlap(SQUARE, _shifted(SQUARE, 5.0, 0.0), tol)
     # a polygon overlaps itself and anything it contains
-    assert _puregeom.convex_overlap(UP, UP, tol)
+    assert geomkernel.convex_overlap(UP, UP, tol)
     small = (0.4, 0.2, 0.6, 0.2, 0.5, 0.4)
-    assert _puregeom.convex_overlap(UP, small, tol)
-    assert _puregeom.convex_overlap(small, UP, tol)
+    assert geomkernel.convex_overlap(UP, small, tol)
+    assert geomkernel.convex_overlap(small, UP, tol)
 
 
 def test_pure_poly_point_dist():
-    ppd = _puregeom.poly_point_dist
+    ppd = geomkernel.poly_point_dist
     # inside and on the boundary: 0
     assert ppd(SQUARE, 0.5, 0.5) == 0.0
     assert ppd(SQUARE, 1.0, 0.5) == 0.0

@@ -53,14 +53,14 @@ def bowtie_star(alpha=GENERIC, word="ATBT") -> Patch:
 def test_hex_star_valid(alpha):
     patch = hex_star(alpha)
     assert patch.validate().ok
-    vid = patch.add_vertex(ORIGIN)
+    vid = patch.vertex_at(ORIGIN)
     assert patch.interior_word(vid) == "TTTTTT"
 
 
 def test_bowtie_star_valid():
     patch = bowtie_star()
     assert patch.validate().ok
-    vid = patch.add_vertex(ORIGIN)
+    vid = patch.vertex_at(ORIGIN)
     assert patch.interior_word(vid) == "ATBT"
 
 
@@ -121,33 +121,6 @@ def test_pop_tile_on_fresh_patch_has_nothing_to_undo():
         patch.pop_tile()
 
 
-@pytest.mark.parametrize("alpha", [GENERIC, ALPHA_NUM])
-@pytest.mark.parametrize("make", ["vertex"])
-def test_pop_tile_refused_after_a_newer_vertex(alpha, make):
-    patch = Patch(alpha)
-    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
-    patch.add_vertex(ExactPoint.from_dict({0: (5, 0)}))
-
-    def state():
-        return (
-            list(patch.tiles),
-            list(patch.shared_edges()),
-            [patch.vertex_xy(v) for v in patch.vertex_ids()],
-            [patch.tiles_at(v) for v in patch.vertex_ids()],
-            [patch.gaps(v) for v in patch.vertex_ids()],
-            [patch.tile_vertices(t) for t in range(len(patch))],
-            set(patch.boundary_edges()),
-            str(patch.validate()),
-        )
-
-    before = state()
-    with pytest.raises(ValueError, match="vertex was made after"):
-        patch.pop_tile()
-    assert state() == before
-    assert len(patch) == 1 and len(patch.vertex_ids()) == 4
-    assert patch.validate().ok
-
-
 def test_pop_tile_unwinds_every_add_in_order():
     patch = hex_star()
     assert len(patch) == 6
@@ -172,7 +145,7 @@ def test_frozen_patch_refuses_pop_tile():
 
 def test_extract_ball_requires_coverage():
     patch = hex_star()
-    vid = patch.add_vertex(ORIGIN)
+    vid = patch.vertex_at(ORIGIN)
     with pytest.raises(IncompleteCoverage):
         patch.extract_ball(vid, 2.0)
     ball = patch.extract_ball(vid, 0.1)
@@ -210,16 +183,16 @@ def _grown_ball(alpha, n=1.0) -> PatternBall:
 
     ABTT is chiral, so no rotation maps the ball onto its mirror image."""
     patch = bowtie_star(alpha, "ABTT")
-    vid = patch.add_vertex(ORIGIN)
+    vid = patch.vertex_at(ORIGIN)
     assert fill_disk(patch, vid, n)
     return patch.extract_ball(vid, n)
 
 
 def _check_isometry_invariance(alpha):
     patch = hex_star(alpha)
-    ball = patch.extract_ball(patch.add_vertex(ORIGIN), 0.1)
+    ball = patch.extract_ball(patch.vertex_at(ORIGIN), 0.1)
     bow = bowtie_star(alpha)
-    ball2 = bow.extract_ball(bow.add_vertex(ORIGIN), 0.1)
+    ball2 = bow.extract_ball(bow.vertex_at(ORIGIN), 0.1)
     ball3 = _grown_ball(alpha)
     rng = random.Random(7)
     for b in (ball, ball2, ball3):
@@ -246,7 +219,7 @@ def test_ball_key_isometry_invariance_numeric(alpha):
 
 def _check_translation_key_separates_rotations(alpha):
     patch = bowtie_star(alpha)
-    vid = patch.add_vertex(ORIGIN)
+    vid = patch.vertex_at(ORIGIN)
     ball = patch.extract_ball(vid, 0.1)
     rot = _transformed(ball, SymbolicAngle(1, 0), False, ExactPoint())
     assert rot.key() == ball.key()
@@ -325,7 +298,7 @@ def test_validate_reports_open_gap_vertices():
     patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
     report = patch.validate()
     assert report.ok  # a lone tile is a valid partial patch
-    assert patch.gaps(patch.add_vertex(ORIGIN))
+    assert patch.gaps(patch.vertex_at(ORIGIN))
 
 
 def test_validate_reports_corner_inside_an_edge(monkeypatch):
@@ -438,7 +411,7 @@ def test_star_word_is_built_only_for_its_readers(monkeypatch):
     )
     patch = hex_star()
     assert built == []
-    assert patch.interior_word(patch.add_vertex(ORIGIN)) == "TTTTTT"
+    assert patch.interior_word(patch.vertex_at(ORIGIN)) == "TTTTTT"
     assert len(built) == 1
     patch = Patch(make_alpha("decimal", 90 + 1e-6))
     for k in range(3):

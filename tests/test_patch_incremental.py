@@ -1,34 +1,36 @@
 """Differential tests: the incremental state of a Patch against fresh scans.
 
 Random add_tile / pop_tile sequences are run at generic alpha, at pi/2
-and at 110 degrees, on patches that may start with bare vertices.  The
-candidates are flush against a gap, as the completion search places
-them, or turned into the gap, so that they share a vertex but no edge.
-After every step the boundary set, the edge midpoint index and every
-cached gap list must equal what a fresh scan gives, and every add_tile
-and add_vertex verdict must equal the one of a brute force reference
-that checks all tiles, edges and vertices.  A duplicate must be refused,
-and the incremental disk frontier, told of the vertices of each tile
-added or popped, must return what a full scan of the boundary edges
-returns, whether it is called after every step or only now and then.
+and at 110 degrees.  The candidates are flush against a gap, as the
+completion search places them, or turned into the gap, so that they share
+a vertex but no edge.  After every step the boundary edges, the edge
+midpoint index and every cached gap list must equal what a fresh scan
+gives, every vertex must be a tile corner that vertex_at finds and
+vertex_point names, and every add_tile verdict must equal the one of a
+brute force reference that checks all tiles, edges and vertices.  A
+duplicate must be refused, and the incremental disk frontier, told of
+the vertices of each tile added or popped, must return what a full scan
+of the boundary edges returns, whether it is called after every step or
+only now and then.
 
 Batch builds are checked the same way: Patch.from_tiles must refuse a
 tile list exactly when adding its tiles one by one does, with the same
 error, and build the same state otherwise.  validate() on the tiles
 placed unchecked must report the same overlapping pairs as a polygon test
 of every pair of tiles.  A validated patch keeps its report through
-add_tile, add_vertex and pop_tile; the kept report must equal a full
-validation of the same tiles.
+add_tile and pop_tile; the kept report must equal a full validation of
+the same tiles.
 """
 
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shieldtiles import _puregeom, patterns
+from shieldtiles import geomkernel, patterns
 from shieldtiles.alpha import GENERIC, make_alpha
 from shieldtiles.atlas import LABEL_ANGLES, atlas_words, canonical_word, gap_feasible
 from shieldtiles.errors import (
@@ -80,7 +82,7 @@ def _corners(patch, pl):
 def _strictly_inside(p, a, b):
     (px, py), (ax, ay), (bx, by) = p, a, b
     return (
-        _puregeom.point_segment_dist(px, py, ax, ay, bx, by) < GEOM_TOL
+        geomkernel.point_segment_dist(px, py, ax, ay, bx, by) < GEOM_TOL
         and math.hypot(px - ax, py - ay) > GEOM_TOL
         and math.hypot(px - bx, py - by) > GEOM_TOL
     )
@@ -116,15 +118,13 @@ def _tile_id(pl):
     return pl.kind, sorted(p.coeffs for p in pl.corner_points())
 
 
-def reference_verdict(patch, pl, bare):
+def reference_verdict(patch, pl):
     """The error class add_tile must raise for pl, or None if it must
     accept it.  The checks run in add_tile's order, each one against
-    every tile, edge and vertex of the patch.  bare holds the bare
-    vertices, (exact point, xy), that the patch was given besides its
-    tiles."""
+    every tile, edge and vertex of the patch."""
     old = [_corners(patch, t) for t in patch.tiles]
     new = _corners(patch, pl)
-    points = bare + [c[0] for cs in old for c in cs]
+    points = [c[0] for cs in old for c in cs]
     if any(_tile_id(t) == _tile_id(pl) for t in patch.tiles):
         return OverlapError
     n = len(new)
@@ -155,7 +155,7 @@ def reference_verdict(patch, pl, bare):
     flat = tuple(v for c in new for v in c[0][1])
     for cs in old:
         poly = tuple(v for c in cs for v in c[0][1])
-        if _puregeom.convex_overlap(flat, poly, GEOM_TOL):
+        if geomkernel.convex_overlap(flat, poly, GEOM_TOL):
             return OverlapError
     atlas = atlas_words(patch.alpha)
     for c in new:
@@ -172,17 +172,6 @@ def reference_verdict(patch, pl, bare):
     return None
 
 
-def reference_vertex_verdict(patch, point, bare):
-    """The error class add_vertex must raise for point."""
-    p = (point, point.xy(patch.eval_rad))
-    olds = bare + [c[0] for t in patch.tiles for c in _corners(patch, t)]
-    if any(_same_vertex(patch, p, q) for q in olds):
-        return None
-    if any(_strictly_inside(p[1], a[1], b[1]) for a, b in _tile_edges(patch)):
-        return EdgeMismatchError
-    return None
-
-
 def reference_frontier(patch, center_xy, radius):
     """The disk frontier as a full scan of the boundary edges that meet the
     disk.  Among their ends with a gap within radius + GEOM_TOL/2 of the
@@ -194,7 +183,7 @@ def reference_frontier(patch, center_xy, radius):
     for u, v in patch.boundary_edges():
         ax, ay = patch.vertex_xy(u)
         bx, by = patch.vertex_xy(v)
-        if _puregeom.point_segment_dist(cx, cy, ax, ay, bx, by) <= radius + GEOM_TOL:
+        if geomkernel.point_segment_dist(cx, cy, ax, ay, bx, by) <= radius + GEOM_TOL:
             ends.update((u, v))
     rad = patch.eval_rad
 
@@ -229,9 +218,15 @@ def reference_frontier(patch, center_xy, radius):
 
 
 def assert_state_matches_fresh_scan(patch):
-    single = {ek for ek, ts in patch._edges.items() if len(ts) == 1}
-    assert set(patch.boundary_edges()) == single
-    assert len(patch.boundary_edges()) == len(single)
+    uses = Counter()
+    for t in range(len(patch)):
+        vids = patch.tile_vertices(t)
+        uses.update(
+            tuple(sorted((u, vids[(i + 1) % len(vids)]))) for i, u in enumerate(vids)
+        )
+    assert {ek: len(ts) for ek, ts in patch._edges.items()} == uses
+    single = [ek for ek, k in uses.items() if k == 1]
+    assert sorted(patch.boundary_edges()) == sorted(single)
 
     indexed = 0
     for cell, segs in patch._mid.items():
@@ -263,18 +258,39 @@ def assert_state_matches_fresh_scan(patch):
         assert (patch.interior_word(vid) is not None) == closed
 
 
+def assert_vertices_are_corners(patch, pick):
+    """Every vertex holds a tile corner, vertex_at finds the vertex of
+    every corner and refuses a point strictly inside an edge, and
+    vertex_point is the corner of the vertex's first tile."""
+    corners = set()
+    for t, pl in enumerate(patch.tiles):
+        for point, vid in zip(pl.corner_points(), patch.tile_vertices(t)):
+            assert patch.vertex_at(point) == vid
+            corners.add(vid)
+    assert corners == set(patch.vertex_ids())
+    for vid in patch.vertex_ids():
+        first = min(patch.tiles_at(vid))
+        i = patch.tile_vertices(first).index(vid)
+        assert patch.vertex_point(vid) == patch.tiles[first].corner_points()[i]
+    nowhere = _inside_edge_point(patch, pick) if len(patch) else ORIGIN
+    with pytest.raises(KeyError):
+        patch.vertex_at(nowhere)
+
+
+# the frontiers are centred at the origin, a corner of the first tile;
 # edges of the tiles at the center lie at distances sqrt(3)/2 and 1
+CENTER = (0.0, 0.0)
 RADII = (0.5, 0.85, math.sqrt(3) / 2, 0.99, 1.0, 2.0)
 
 
 def assert_frontiers_match_full_scan(patch, frontiers):
-    cx, cy = patch.vertex_xy(0)
+    cx, cy = CENTER
     single = [ek for ek, ts in patch._edges.items() if len(ts) == 1]
     for r, frontier in zip(RADII, frontiers):
         want = reference_frontier(patch, (cx, cy), r)
         assert frontier() == want
         closed = all(
-            _puregeom.point_segment_dist(
+            geomkernel.point_segment_dist(
                 cx, cy, *patch.vertex_xy(u), *patch.vertex_xy(v)
             ) > r + GEOM_TOL
             for u, v in single
@@ -283,7 +299,7 @@ def assert_frontiers_match_full_scan(patch, frontiers):
 
 
 def _frontiers(patch):
-    return [_DiskFrontier(patch, patch.vertex_xy(0), r) for r in RADII]
+    return [_DiskFrontier(patch, CENTER, r) for r in RADII]
 
 
 def _followers(*groups):
@@ -298,10 +314,8 @@ def _close(ps, qs):
     )
 
 
-def _rebuilt(patch, bare_at):
+def _rebuilt(patch):
     fresh = Patch(patch.alpha)
-    fresh.add_vertex(ORIGIN)
-    _add_bare(fresh, bare_at)
     for t in patch.tiles:
         fresh.add_tile(t)
     return fresh
@@ -375,23 +389,13 @@ def _inside_edge_point(patch, pick):
     return t.corner_points()[i] + _short_step(t.corner_dirs()[i][1].plus(HALF_TURN))
 
 
-# exact points near the origin for bare vertices: unit steps at multiples
-# of pi/3 and of pi/3 + alpha, and one rhombus corner
-NEAR_POINTS = [unit_vector(Direction.of(k, 0)) for k in range(6)] + [
-    unit_vector(Direction.of(0, 1)),
-    unit_vector(Direction.of(1, 1)),
-    unit_vector(Direction.of(0, 0)) + unit_vector(Direction.of(1, 0)),
-]
-
-BARE_AT = st.lists(st.integers(0, len(NEAR_POINTS) - 1), max_size=3, unique=True)
-
 STEPS = st.lists(
     st.tuples(
         st.integers(0, 2),  # which of the nearest open vertices
         st.integers(0, 2),  # which candidate kind
-        # 0: pop up to three tiles, 1: add_vertex probes,
-        # 2: a turned tile, 3: a tile with an edge through a vertex, 4: a
-        # tile with a corner inside an edge, otherwise a flush tile
+        # 0: pop up to three tiles, 2: a turned tile, 3: a tile with an
+        # edge through a vertex, 4: a tile with a corner inside an edge,
+        # otherwise a flush tile
         st.integers(0, 9),
         st.integers(0, 2),  # 0: call the occasional frontiers after this step
     ),
@@ -400,46 +404,10 @@ STEPS = st.lists(
 )
 
 
-def _probe_vertices(patch, pick, bare):
-    """add_vertex at a point inside an edge is refused and changes nothing;
-    at a vertex of the patch it returns its id."""
-    nverts = len(patch.vertex_ids())
-    if len(patch):
-        point = _inside_edge_point(patch, pick)
-        assert reference_vertex_verdict(patch, point, bare) is EdgeMismatchError
-        with pytest.raises(EdgeMismatchError):
-            patch.add_vertex(point)
-        assert len(patch.vertex_ids()) == nverts
-        t = patch.tiles[pick % len(patch)]
-        corner = t.corner_points()[pick % len(t.labels)]
-        assert reference_vertex_verdict(patch, corner, bare) is None
-        # at numeric alpha one vertex may have several exact spellings
-        vx, vy = patch.vertex_xy(patch.add_vertex(corner))
-        x, y = corner.xy(patch.eval_rad)
-        assert abs(vx - x) < GEOM_TOL and abs(vy - y) < GEOM_TOL
-        assert len(patch.vertex_ids()) == nverts
-
-
-def _add_bare(patch, bare_at):
-    """Bare vertices, before any tile, as (exact point, xy)."""
-    bare = []
-    for where in bare_at:
-        point = NEAR_POINTS[where]
-        patch.add_vertex(point)
-        bare.append((point, point.xy(patch.eval_rad)))
-    return bare
-
-
 @settings(max_examples=300, deadline=None)
-@given(
-    alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]),
-    bare_at=BARE_AT,
-    steps=STEPS,
-)
-def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps):
+@given(alpha=st.sampled_from([GENERIC, RIGHT, DECIMAL]), steps=STEPS)
+def test_incremental_state_and_verdicts_match_brute_force(alpha, steps):
     patch = Patch(alpha)
-    patch.add_vertex(ORIGIN)
-    bare = [(ORIGIN, patch.vertex_xy(0))] + _add_bare(patch, bare_at)
     every_step = _frontiers(patch)
     # made once two tiles are placed, and made again after a pop below them
     now_and_then, made_at = None, 0
@@ -453,8 +421,6 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
                 patch.pop_tile()
                 for f in _followers(every_step, now_and_then):
                     f.touch(vids)
-        elif op == 1:
-            _probe_vertices(patch, pick, bare)
         else:
             if op == 2:
                 cand = _turned_candidate(patch, pick, which)
@@ -464,7 +430,7 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
                 cand = _stuck_candidate(patch, pick, which)
             else:
                 cand = _next_candidate(patch, pick, which)
-            want = reference_verdict(patch, cand, bare)
+            want = reference_verdict(patch, cand)
             try:
                 vids = patch.add_tile(cand)
                 got = None
@@ -475,9 +441,10 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
                 for f in _followers(every_step, now_and_then):
                     f.touch(vids)
         assert_state_matches_fresh_scan(patch)
-        # the kept report against a full pass over the same bare vertices
-        # and tiles, placed unchecked
-        fresh = _planted(alpha, patch.tiles, [p for p, _xy in bare])
+        assert_vertices_are_corners(patch, pick)
+        # the kept report against a full pass over the same tiles, placed
+        # unchecked
+        fresh = _planted(alpha, patch.tiles)
         assert fresh.validate().ok and patch.validate() == fresh.validate()
         assert_frontiers_match_full_scan(patch, every_step)
         if now_and_then is None and len(patch) >= 2:
@@ -488,7 +455,7 @@ def test_incremental_state_and_verdicts_match_brute_force(alpha, bare_at, steps)
             twin = _anchor_reps(patch.tiles[pick % len(patch)])[-1]
             with pytest.raises(OverlapError):
                 patch.add_tile(twin)
-    fresh = _rebuilt(patch, bare_at)
+    fresh = _rebuilt(patch)
     assert list(fresh.vertex_ids()) == list(patch.vertex_ids())
     for vid in patch.vertex_ids():
         assert fresh.gaps(vid) == patch.gaps(vid)
@@ -503,7 +470,6 @@ def test_frontier_follows_pops_and_adds_between_calls(alpha):
     """Several reported pops, then adds, between two calls; then pops back
     to the tiles that were there when the frontier was made."""
     patch = Patch(alpha)
-    patch.add_vertex(ORIGIN)
     _grow(patch, 4, 0)
     frontiers = _frontiers(patch)
     assert_frontiers_match_full_scan(patch, frontiers)
@@ -559,29 +525,6 @@ def _pop(patch, count, frontiers):
         patch.pop_tile()
         for f in frontiers:
             f.touch(vids)
-
-
-@pytest.mark.parametrize(
-    "alpha", [GENERIC, RIGHT, DECIMAL], ids=["generic", "right", "110deg"]
-)
-def test_bare_vertex_strictly_inside_an_edge_refused(alpha):
-    patch = Patch(alpha)
-    patch.add_vertex(ORIGIN)
-    patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
-    point = _inside_edge_point(patch, 0)  # on the edge from 0 to 1
-    x, y = point.xy(patch.eval_rad)
-    assert abs(y) < 1e-12 and 0.5 < x < 1.0 - 1e-3
-    with pytest.raises(EdgeMismatchError):
-        patch.add_vertex(point)
-    assert len(patch.vertex_ids()) == 3
-    assert patch.validate().ok
-    # the same point is accepted once the edge is gone
-    patch.pop_tile()
-    vid = patch.add_vertex(point)
-    assert patch.vertex_point(vid) == point
-    # and the edge is then refused across it
-    with pytest.raises(EdgeMismatchError):
-        patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -650,12 +593,10 @@ def _tile_list(alpha, steps):
     return out
 
 
-def _planted(alpha, tiles, bare=()):
+def _planted(alpha, tiles):
     """The tiles placed in order with no check at all, as from_tiles places
-    them before it validates, after the bare vertices at the points bare."""
+    them before it validates."""
     patch = Patch(alpha)
-    for point in bare:
-        patch.add_vertex(point)
     for t in tiles:
         geom, pts = patch._corners(t)
         patch._commit(t, geom, pts, patch._locate(geom[0], pts))
@@ -671,7 +612,7 @@ def reference_overlapping_pairs(patch):
         (i, j)
         for j in range(len(polys))
         for i in range(j)
-        if _puregeom.convex_overlap(polys[i], polys[j], GEOM_TOL)
+        if geomkernel.convex_overlap(polys[i], polys[j], GEOM_TOL)
     }
 
 
@@ -732,16 +673,14 @@ def test_from_tiles_refuses_what_add_tile_refuses(alpha, steps):
 )
 def test_kept_report_matches_a_fresh_validation(alpha, batch, steps):
     """A patch that from_tiles has validated keeps its report through
-    add_tile, add_vertex and pop_tile, and the kept report is the one that
-    validating the same tiles afresh gives."""
+    add_tile and pop_tile, and the kept report is the one that validating
+    the same tiles afresh gives."""
     accepted = [(pick, which, op, 0) for pick, which, op, _keep in batch]
     patch = Patch.from_tiles(alpha, _tile_list(alpha, accepted))
     for pick, which, op, _call in steps:
         if op == 0:
             for _ in range(min(pick + 1, len(patch))):
                 patch.pop_tile()
-        elif op == 1:
-            _probe_vertices(patch, pick, [])
         else:
             make = {2: _turned_candidate, 3: _slid_candidate, 4: _stuck_candidate}
             try:

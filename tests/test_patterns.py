@@ -366,9 +366,8 @@ def test_no_other_dodecagon_filling(j):
     the vertex equation at pi/2.
 
     The disk is centred at the cell's corner at the origin, a vertex of the
-    collar, and reaches across the cell: the search adds no bare vertex,
-    which would refuse a tile edge through it.  Outside the cell the disk
-    meets only closed collar vertices.
+    collar, and reaches across the cell.  Outside the cell the disk meets
+    only closed collar vertices.
     """
     window = gen_dodecagon_tiling(DodecagonChoice.constant(j), 6)
     cell = set(dodecagon_fillings()[j].tiles)
@@ -377,9 +376,8 @@ def test_no_other_dodecagon_filling(j):
         if t not in cell:
             patch.add_tile(t)
     assert len(window) - len(patch) == 8
-    collar, vertices = len(patch), len(patch.vertex_ids())
-    corner = patch.add_vertex(ORIGIN)
-    assert len(patch.vertex_ids()) == vertices  # no vertex was made
+    collar = len(patch)
+    corner = patch.vertex_at(ORIGIN)
     found = []
     fill_disk(patch, corner, 2 * DODECA_CIRCUM + 1e-3,
               on_solution=lambda p: found.append(_shape(p.tiles[collar:])))
@@ -396,13 +394,14 @@ def test_dodecagon_fillings_are_searched_once_and_frozen():
             p.pop_tile()
 
 
-def test_frozen_filling_refuses_a_new_vertex():
-    # the fillings are shared: a vertex added to one would outlive the call
+def test_frozen_filling_refuses_add_tile():
+    # the fillings are shared: a tile added to one would outlive the call
     filling = dodecagon_fillings()[0]
-    assert len(filling.vertex_ids()) == 17
+    assert len(filling) == 8 and len(filling.vertex_ids()) == 17
+    far = Placement("T", ExactPoint.from_dict({0: (9, 0)}), Direction.of(0, 0))
     with pytest.raises(ValueError, match="frozen"):
-        filling.add_vertex(ExactPoint.from_dict({0: (9, 0)}))
-    assert len(filling.vertex_ids()) == 17
+        filling.add_tile(far)
+    assert len(filling) == 8 and len(filling.vertex_ids()) == 17
 
 
 def test_dodecagon_fillings_are_rotations_of_one_shape():
