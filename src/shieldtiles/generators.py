@@ -232,11 +232,15 @@ class DodecagonChoice:
         return cls(assignment={}, default=index)
 
     def index_for(self, cell) -> int:
-        if cell in self.assignment:
-            return self.assignment[cell]
-        if self.default is not None:
-            return self.default
-        raise MissingChoice(f"no filling chosen for dodecagon cell {cell}")
+        """The filling of a cell: the index 0, 1 or 2 of dodecagon_fillings."""
+        index = self.assignment.get(cell, self.default)
+        if index is None:
+            raise MissingChoice(f"no filling chosen for dodecagon cell {cell}")
+        if type(index) is not int or index not in (0, 1, 2):
+            raise ShieldError(
+                f"dodecagon cell {cell} has filling {index!r}, not 0, 1 or 2"
+            )
+        return index
 
 
 def gen_dodecagon_tiling(choice: DodecagonChoice, extent: int) -> Patch:

@@ -14,20 +14,19 @@ midpoint; edges are hashed by the unit cell of their midpoint.  Two tiles
 can overlap only if their bounding discs meet.  The gaps at each vertex
 are kept up to date as tiles come and go.
 
-Tiles come in two ways, under one placement rule:
+Every tile is placed by _commit and checked by one function, _faults(k),
+which finds the faults that involve the tiles from index k on: an edge
+with more than two tiles, a vertex strictly inside an edge, two corner
+intervals that overlap at a vertex, two tiles that share no vertex and
+overlap, and a star that exceeds a full turn or closes off the vertex
+equation.  Tiles come in two ways:
 
-- add_tile checks one tile against the patch, then places it.  No vertex
-  lies strictly inside an edge (add_tile refuses to break that), so it
-  tests only what the tile changes: new corners against edges, new edges
-  against vertices, the corner intervals at each vertex it shares,
-  polygon overlap against the nearby tiles that share no vertex with it,
-  and the stars it closes (see add_tile).
-- from_tiles places a list of tiles unchecked, then runs validate() once.
-  validate() checks the whole patch by add_tile's rule: edges with more
-  than two tiles, vertices inside edges, the corner intervals at every
-  vertex, polygon overlap only between tiles that share no vertex, and
-  every star.  An invalid list is replayed through add_tile, so that
-  from_tiles raises what add_tile raises for the first tile at fault.
+- add_tile commits one tile, then runs _faults on it alone.  A tile at
+  fault is popped again, and the error of its first fault is raised.
+- from_tiles commits a list of tiles, then runs validate(), which is
+  _faults(0) written into a report.  An invalid list is replayed through
+  add_tile, so that from_tiles raises what add_tile raises for the first
+  tile at fault.
 """
 
 from __future__ import annotations
@@ -66,6 +65,13 @@ GRID = 2.32
 TURN_TOL = 1e-7
 # a point within GEOM_TOL of a unit edge is this close to its midpoint
 NEAR_MID2 = (0.5 + GEOM_TOL) ** 2
+# the error that add_tile raises for each kind of fault
+_FAULT_ERRORS = {
+    "edge_overuse": OverlapError,
+    "t_junction": EdgeMismatchError,
+    "overlap": OverlapError,
+    "atlas": AtlasViolation,
+}
 
 @dataclass
 class Violation:
@@ -135,14 +141,13 @@ class Patch:
 
         A patch that fails raises what add_tile raises, adding the same
         tiles one by one: the tiles are replayed through add_tile, which
-        refuses the first tile at fault.  validate() and add_tile share one
-        placement rule, so the replay runs only for an invalid patch.
+        refuses the first tile at fault.  validate() and add_tile run the
+        same checks, so the replay runs only for an invalid patch.
         """
         placements = list(placements)
         patch = cls(alpha)
         for pl in placements:
-            geom, pts = patch._corners(pl)
-            patch._commit(pl, geom, pts, patch._locate(geom[0], pts))
+            patch._commit(pl)
         if not patch.validate().ok:
             replay = cls(alpha)
             for pl in placements:
@@ -161,29 +166,6 @@ class Patch:
             if abs(ex - x) < GEOM_TOL and abs(ey - y) < GEOM_TOL:
                 return vid
         return None
-
-    def _make_vid(self, xy, point):
-        """Id of a new vertex at a point that _find_vid has just missed."""
-        vid = len(self._vertices)
-        self._vertices.append(_Vertex(xy))
-        if self.exact_keys:
-            self._key2vid[point.coeffs] = vid
-        self._vgrid.setdefault((math.floor(xy[0]), math.floor(xy[1])), []).append(vid)
-        return vid
-
-    def _locate(self, xys, pts) -> tuple[int, ...]:
-        """Vertex ids of a tile's corners.  A corner not in the patch yet
-        gets the id that _commit will give it (the corners of one tile never
-        coincide)."""
-        vids = []
-        next_vid = len(self._vertices)
-        for xy, pt in zip(xys, pts):
-            vid = self._find_vid(xy, pt)
-            if vid is None:
-                vid = next_vid
-                next_vid += 1
-            vids.append(vid)
-        return tuple(vids)
 
     # -- geometry helpers ------------------------------------------------
 
@@ -210,11 +192,9 @@ class Patch:
         """Vertices in the unit cells that the box (x, y) +- r touches."""
         return _in_cells(self._vgrid, x, y, r)
 
-    def _inside_some_edge(self, x, y, vid=None) -> bool:
-        """True iff (x, y) lies strictly inside an edge of the patch.
-
-        (x, y) is the point of vertex vid, if given; its own edges end at
-        it and are passed over."""
+    def _inside_some_edge(self, x, y, vid) -> bool:
+        """True iff (x, y), the point of vertex vid, lies strictly inside an
+        edge of the patch; the edges of vid end at it and are passed over."""
         near = _in_cells(self._mid, x, y, 0.5 + GEOM_TOL)
         for mx, my, ax, ay, bx, by, ek in near:
             ux, uy = x - mx, y - my
@@ -224,137 +204,72 @@ class Patch:
                 return True
         return False
 
-    def _vertex_inside_edge(self, ax, ay, bx, by) -> bool:
-        """True iff a vertex of the patch lies strictly inside edge ab."""
+    def _vertex_inside_edge(self, ax, ay, bx, by, below):
+        """The first vertex, of the ids below `below`, that lies strictly
+        inside edge ab; None if there is none."""
         mx, my = (ax + bx) / 2, (ay + by) / 2
         for vid in self._vids_near(mx, my, 0.5 + GEOM_TOL):
+            if vid >= below:
+                continue
             px, py = self._vertices[vid].xy
             ux, uy = px - mx, py - my
             if ux * ux + uy * uy <= NEAR_MID2 and _strictly_inside(
                 px, py, ax, ay, bx, by
             ):
-                return True
-        return False
-
-    def _discs_meeting(self, disc, ids):
-        """Tiles among ids whose bounding disc meets disc, within GEOM_TOL.
-
-        disc is (cx, cy, r), as made by Placement.geometry."""
-        cx, cy, r = disc
-        for tid in ids:
-            ox, oy, orad = self._tile_discs[tid]
-            reach = r + orad + GEOM_TOL
-            if (ox - cx) ** 2 + (oy - cy) ** 2 < reach * reach:
-                yield tid
-
-    def _overlaps(self, flat, disc, ids):
-        """Tiles among ids whose interior meets the polygon flat.
-
-        disc is (cx, cy, r) with every corner of flat within r of (cx, cy);
-        a tile whose disc it does not meet is passed over."""
-        for tid in self._discs_meeting(disc, ids):
-            if gk.convex_overlap(flat, self._tile_polys[tid], GEOM_TOL):
-                yield tid
+                return vid
+        return None
 
     # -- construction ------------------------------------------------------
 
     def add_tile(self, pl: Placement) -> tuple[int, ...]:
-        """Place a tile; raises and leaves the patch unchanged on conflict.
+        """Place a tile, and return the vertex ids of its corners.
 
-        Returns the vertex ids of the tile corners.
-
-        No vertex of the patch lies strictly inside an edge: add_tile
-        refuses a corner or an edge that would break this.  So three tests
-        are left out, each of which could only find what the invariant
-        rules out or what another test has ruled out already:
-
-        - the corner-inside-edge test of a corner that lands on a vertex
-          of the patch: the corner is that vertex, which lies inside no
-          edge;
-        - the vertex-inside-edge test of an edge already in the patch: it
-          was tested against every vertex when it came in, and every vertex
-          made since was tested against every edge;
-        - the polygon overlap test against a tile with a corner at one of
-          this tile's vertices.  A convex tile lies inside the cone of its
-          corner at a vertex, and the angular test at that vertex has found
-          the two cones disjoint.
+        The tile is committed, then checked by validate()'s own checks,
+        _faults, run on this tile alone.  A tile at fault is popped again,
+        the patch gets back the report it had, and the error of the first
+        fault is raised: OverlapError, EdgeMismatchError or AtlasViolation.
+        So a refused tile leaves the patch as it was.  A tile placed in a
+        patch that validate() has found valid keeps the patch valid, so the
+        report is kept.
         """
         if self._frozen:
             raise ValueError("patch is frozen")
-        geom, pts = self._corners(pl)
-        xys, flat, disc = geom
-        vids = self._locate(xys, pts)
-        old = len(self._vertices)
-
-        # -- checks on a scratch view (no mutation yet) --
-        n = len(vids)
-        # edge usage; a new vertex is in no edge yet
-        edge_tiles = []
-        for i in range(n):
-            u, v = vids[i], vids[(i + 1) % n]
-            ek = (u, v) if u < v else (v, u)
-            ts = self._edges.get(ek)
-            if ts is not None and len(ts) >= 2:
-                raise OverlapError(f"edge {ek} already shared by two tiles")
-            edge_tiles.append(ts)
-        # T-junctions: new corners against old edges, old corners
-        # against new edges
-        for xy, vid in zip(xys, vids):
-            if vid >= old and self._inside_some_edge(*xy):
-                raise EdgeMismatchError("tile corner lands inside an existing edge")
-        for i in range(n):
-            if edge_tiles[i] is None and self._vertex_inside_edge(
-                *xys[i], *xys[(i + 1) % n]
-            ):
-                raise EdgeMismatchError("existing vertex lies inside a new edge")
-        # angular overlap at shared vertices; this also refuses a duplicate
-        spans = pl.corner_spans(self.eval_rad)
-        sharing = set()  # tiles with a corner at a vertex of this one
-        for (s, e), vid in zip(spans, vids):
-            if vid < old:
-                for iv in self._vertices[vid].intervals:
-                    if _circular_overlap(s, e, iv[0], iv[1]) > GEOM_TOL:
-                        raise OverlapError("angular overlap at a shared vertex")
-                    sharing.add(iv[4])
-        # polygon overlap against the other nearby tiles
-        near = [
-            t for t in self._tile_ids_near(disc[0], disc[1]) if t not in sharing
-        ]
-        tid = next(self._overlaps(flat, disc, near), None)
-        if tid is not None:
-            raise OverlapError(f"interior overlap with tile {tid}")
-        # tentative stars at the vertices already in the patch
-        tidx = len(self.tiles)
-        for (lab, d_out, ang), (s, e), vid in zip(pl.corner_dirs(), spans, vids):
-            if vid >= old:
-                continue
-            ivs = self._vertices[vid].intervals + [(s, e, d_out, ang, tidx, lab)]
-            fault = self._star_verdict(ivs)
-            if fault == "overlap":
-                raise OverlapError("corner angles exceed a full turn")
-            if fault == "atlas":
-                raise AtlasViolation(f"interior star {_star_word(ivs)} not in atlas")
-
-        # add_tile applies validate()'s rule, so a valid patch stays valid
         report = self._report
-        vids = self._commit(pl, geom, pts, vids)
+        vids = self._commit(pl)
+        fault = next(self._faults(len(self.tiles) - 1), None)
+        if fault is not None:
+            self.pop_tile()
+            self._report = report
+            kind, detail = fault
+            raise _FAULT_ERRORS[kind](detail)
         if report is not None and report.ok:
             self._report = report
         return vids
 
-    def _commit(self, pl, geom, pts, vids):
-        """Place a tile unchecked at the vertex ids that _locate gave it,
-        dropping the kept report.
+    def _commit(self, pl):
+        """Place a tile unchecked, dropping the kept report, and return the
+        vertex ids of its corners.  Each corner goes to the vertex of the
+        patch at its point, or to a new vertex (the corners of one tile
+        never coincide).
 
         An edge and a vertex each keep their tiles in the order they came,
         so the last tile placed is the last one at each of its edges and
-        vertices."""
+        vertices, and the vertices it made are the last ones."""
+        geom, pts = self._corners(pl)
         xys, flat, disc = geom
-        old = len(self._vertices)
-        for xy, pt, vid in zip(xys, pts, vids):
-            if vid >= old:
-                # new vertices are made in the order of their tentative ids
-                self._make_vid(xy, pt)
+        verts = self._vertices
+        vids = []
+        for xy, pt in zip(xys, pts):
+            vid = self._find_vid(xy, pt)
+            if vid is None:
+                vid = len(verts)
+                verts.append(_Vertex(xy))
+                if self.exact_keys:
+                    self._key2vid[pt.coeffs] = vid
+                cell = (math.floor(xy[0]), math.floor(xy[1]))
+                self._vgrid.setdefault(cell, []).append(vid)
+            vids.append(vid)
+        vids = tuple(vids)
         tidx = len(self.tiles)
         self.tiles.append(pl)
         self._tile_vids.append(vids)
@@ -374,7 +289,7 @@ class Patch:
                 ts.append(tidx)
         spans = pl.corner_spans(self.eval_rad)
         for (lab, d_out, ang), (s, e), vid in zip(pl.corner_dirs(), spans, vids):
-            self._vertices[vid].intervals.append((s, e, d_out, ang, tidx, lab))
+            verts[vid].intervals.append((s, e, d_out, ang, tidx, lab))
             self._gap_cache.pop(vid, None)
         cell = (math.floor(disc[0] / GRID), math.floor(disc[1] / GRID))
         self._grid.setdefault(cell, []).append(tidx)
@@ -382,7 +297,7 @@ class Patch:
         return vids
 
     def pop_tile(self):
-        """Undo the most recent add_tile.
+        """Take the last tile placed away again.
 
         Tiles leave last in, first out, so the popped tile is the last one
         at each of its edges and vertices.  The vertices it made are the
@@ -476,8 +391,12 @@ class Patch:
         GEOM_TOL.  Every check of add_tile looks at no other tile: an
         overlap, a shared edge, a corner on an edge or a corner at a shared
         vertex each puts a point of the other tile on pl's disc."""
-        disc = pl.geometry(self.eval_rad)[2]
-        return self._discs_meeting(disc, self._tile_ids_near(disc[0], disc[1]))
+        cx, cy, r = pl.geometry(self.eval_rad)[2]
+        for tid in self._tile_ids_near(cx, cy):
+            ox, oy, orad = self._tile_discs[tid]
+            reach = r + orad + GEOM_TOL
+            if (ox - cx) ** 2 + (oy - cy) ** 2 < reach * reach:
+                yield tid
 
     def interior_word(self, vid: int) -> str | None:
         """Canonical corner word of a closed star, else None."""
@@ -568,52 +487,112 @@ class Patch:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check the whole patch by add_tile's placement rule.
+        """The faults of the whole patch, _faults(0), as a report.
 
-        Faults: an edge with more than two tiles, a vertex strictly inside
-        an edge, two corner intervals that overlap at a vertex, two tiles
-        that share no vertex but overlap, and a star that exceeds a full
-        turn or closes it off the atlas.  Tiles that share a vertex get no
-        polygon test: each lies in the cone of its corner there, so the
-        interval test has decided them.  The report is kept while it holds
-        (see add_tile and pop_tile); tiles placed unchecked drop it.
+        The report is kept while it holds (see add_tile and pop_tile);
+        tiles placed unchecked drop it.
         """
-        if self._report is not None:
-            return self._report
-        rep = ValidationReport()
-        # every tile's boundary walk closes by construction: a shield's edge
-        # directions d + {0, 2, 4}*pi/3 and d + alpha + {-1, 1, 3}*pi/3, and a
-        # triangle's three, are triples of unit vectors summing to 0
-        for ek, ts in self._edges.items():
-            if len(ts) > 2:
-                rep.add("edge_overuse", f"edge {ek} has {len(ts)} tiles")
-        for vid, v in enumerate(self._vertices):
-            if self._inside_some_edge(*v.xy, vid):
-                rep.add("t_junction", f"vertex {vid} lies inside an edge")
+        if self._report is None:
+            rep = ValidationReport()
+            for kind, detail in self._faults(0):
+                rep.add(kind, detail)
+            self._report = rep
+        return self._report
+
+    def _faults(self, k: int):
+        """Yield the faults that involve the tiles from index k on, as
+        (kind, detail), kind by kind: edges with more than two tiles
+        ("edge_overuse"), vertices strictly inside an edge ("t_junction"),
+        corner intervals that overlap at a vertex, stars past a full turn
+        and tiles that share no vertex but overlap ("overlap"), and closed
+        stars whose corner angles do not solve the vertex equation ("atlas",
+        see _star_verdict).  add_tile raises the error of the first one.
+
+        Every check of a tile looks only at tiles whose bounding disc meets
+        its own (see tiles_touching).  Every tile's boundary walk closes by
+        construction: a shield's edge directions d + {0, 2, 4}*pi/3 and
+        d + alpha + {-1, 1, 3}*pi/3, and a triangle's three, are triples of
+        unit vectors summing to 0.
+        """
+        verts, edges, tile_vids = self._vertices, self._edges, self._tile_vids
+        tids = range(k, len(self.tiles))
+        # tiles k on made the last vertices, those from old on
+        old = len(verts)
+        while old and verts[old - 1].intervals[0][4] >= k:
+            old -= 1
+        if k:
+            scope = {}  # the vertices of tiles k on, in order
+            overused = []  # each named once, at its last tile
+            brought = []  # the ends of the edges that tiles k on brought in
+            for t in tids:
+                tv, poly = tile_vids[t], self._tile_polys[t]
+                n = len(tv)
+                for i in range(n):
+                    j = (i + 1) % n
+                    u, v = tv[i], tv[j]
+                    ek = (u, v) if u < v else (v, u)
+                    ts = edges[ek]
+                    if ts[-1] == t and len(ts) > 2:
+                        overused.append(ek)
+                    if ts[0] == t:
+                        brought.append(poly[2 * i:2 * i + 2] + poly[2 * j:2 * j + 2])
+                    scope[u] = None
+        else:
+            # every vertex is tested against every edge below
+            scope = range(len(verts))
+            overused = [ek for ek, ts in edges.items() if len(ts) > 2]
+            brought = ()
+        for ek in overused:
+            yield "edge_overuse", f"edge {ek} has {len(edges[ek])} tiles"
+        junctions, overlaps, stars = [], [], []
+        for vid in scope:
+            v = verts[vid]
             ivs = v.intervals
+            # a vertex made before tile k lies inside no edge of the tiles
+            # before k (add_tile keeps it so), and an edge of tiles k on
+            # through it is found from the edge's side below
+            if vid >= old and self._inside_some_edge(*v.xy, vid):
+                junctions.append(("t_junction", f"vertex {vid} lies inside an edge"))
             if _cones_may_meet(ivs):
                 for i, a in enumerate(ivs):
                     for b in ivs[i + 1:]:
-                        if _circular_overlap(a[0], a[1], b[0], b[1]) > GEOM_TOL:
-                            rep.add(
+                        if b[4] >= k and (
+                            _circular_overlap(a[0], a[1], b[0], b[1]) > GEOM_TOL
+                        ):
+                            overlaps.append((
                                 "overlap",
                                 f"tiles {a[4]} and {b[4]} overlap at vertex {vid}",
-                            )
+                            ))
             fault = self._star_verdict(ivs)
             if fault == "overlap":
-                rep.add("overlap", f"vertex {vid} corners exceed a full turn")
+                detail = f"vertex {vid} corners exceed a full turn"
+                overlaps.append(("overlap", detail))
             elif fault == "atlas":
-                rep.add("atlas", f"vertex {vid} star {_star_word(ivs)} not in atlas")
+                detail = f"vertex {vid} star {_star_word(ivs)} not in atlas"
+                stars.append(("atlas", detail))
+        yield from junctions
+        # an edge already there before tile k was tested against every
+        # vertex when it came in, and every vertex made since was tested
+        # against it above
+        for ends in brought:
+            vid = self._vertex_inside_edge(*ends, old)
+            if vid is not None:
+                yield "t_junction", f"vertex {vid} lies inside an edge"
+        yield from overlaps
         blocks = {}  # tile grid cell -> the tiles of its 3x3 block
-        discs, polys, tile_vids = self._tile_discs, self._tile_polys, self._tile_vids
-        for i, (cx, cy, r) in enumerate(discs):
+        discs, polys = self._tile_discs, self._tile_polys
+        for i in tids:
+            cx, cy, r = discs[i]
             cell = (math.floor(cx / GRID), math.floor(cy / GRID))
             block = blocks.get(cell)
             if block is None:
                 block = blocks[cell] = self._tile_ids_near(cx, cy)
-            # the disc test of _discs_meeting, inlined, comes first: most
+            # the disc test of tiles_touching, inlined, comes first: most
             # tiles of a block are out of reach, and only a tile within
-            # reach is asked whether it shares a vertex
+            # reach is asked whether it shares a vertex.  Tiles that share
+            # a vertex get no polygon test: each convex tile lies inside the
+            # cone of its corner there, and the interval test at that vertex
+            # has decided the two cones
             vids = set(tile_vids[i])
             for j in block:
                 if j >= i:
@@ -625,9 +604,8 @@ class Patch:
                     and vids.isdisjoint(tile_vids[j])
                     and gk.convex_overlap(polys[i], polys[j], GEOM_TOL)
                 ):
-                    rep.add("overlap", f"tiles {j} and {i} overlap")
-        self._report = rep
-        return rep
+                    yield "overlap", f"tiles {j} and {i} overlap in their interiors"
+        yield from stars
 
     def require_valid(self):
         if not self.validate().ok:

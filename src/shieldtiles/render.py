@@ -6,6 +6,8 @@ bytes depend only on the patch and the scale.
 
 from __future__ import annotations
 
+import math
+
 from .patch import Patch
 
 PALETTE = {"T": "#f5f0e6", "S": "#7fb3d5"}
@@ -21,8 +23,8 @@ def _fmt(x: float) -> str:
 
 def render_svg(patch: Patch, scale: float = 60.0) -> str:
     """SVG drawing of the patch at `scale` pixels per unit edge."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, not {scale}")
     rad = patch.alpha.eval_radians()
     polys = []
     xs, ys = [0.0], [0.0]

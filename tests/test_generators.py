@@ -77,6 +77,17 @@ def test_dodecagon_tilings_validate(filling):
     assert "AAAA" in words or "BBT" in words  # right-shield signatures
 
 
+@pytest.mark.parametrize("index", [-1, 3, True, 1.0, "1"], ids=repr)
+def test_dodecagon_choice_refuses_other_filling_indices(index):
+    # only the ints 0, 1 and 2 name a filling: -1 or True would pick one by
+    # list indexing, and 3 would fail deep inside the generator
+    with pytest.raises(ShieldError, match=r"dodecagon cell \(-?\d+, -?\d+\) has"):
+        gen_dodecagon_tiling(DodecagonChoice.constant(index), 4)
+    mixed = DodecagonChoice(assignment={(0, 0): index}, default=0)
+    with pytest.raises(ShieldError, match=r"dodecagon cell \(0, 0\) has filling"):
+        gen_dodecagon_tiling(mixed, 4)
+
+
 # the AATTT witness window of acceptance criterion 7
 WITNESS = DodecagonChoice(assignment={(0, 1): 1}, default=0)
 

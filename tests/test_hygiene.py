@@ -1,8 +1,10 @@
 """Source hygiene: every imported name is used by its module, every
 definition under src/ is read somewhere in src/, no module but patch.py
-reads the private state of a Patch, the classifier imports none of the
-generators it checks, every name that the traced benchmark wraps exists,
-and a traced benchmark run of each workload passes."""
+reads the private state of a Patch, patch.py names its placement errors
+only in the one table that maps a fault to its error, the classifier
+imports none of the generators it checks, every name that the traced
+benchmark wraps exists, and a traced benchmark run of each workload
+passes."""
 
 import ast
 import importlib
@@ -21,6 +23,10 @@ SPANS = ROOT / "perfbench" / "spans.py"
 BENCHMARK = ROOT / "BENCHMARK.json"
 PATCH = PACKAGE / "patch.py"
 CLASSIFY = PACKAGE / "classify.py"
+# the errors of a refused tile: patch.py finds a fault by one set of checks
+# and maps its kind to one of these in one table, so no second copy of a
+# check raises them
+PLACEMENT_ERRORS = {"OverlapError", "EdgeMismatchError", "AtlasViolation"}
 # the package modules the classifier may import: it checks the generators'
 # windows, so it must not take a fact from them
 CLASSIFY_IMPORTS = {"atlas", "errors", "patch"}
@@ -193,6 +199,47 @@ def test_no_private_patch_reads_outside_patch_py():
         and (reads := private_reads(path.read_text(), private))
     }
     assert found == {}
+
+
+def names_outside_one_table(source: str, names: set[str]) -> list[str]:
+    """Uses of the names, as `name (line)`, outside the module's imports
+    and outside its one module-level dict that uses them; every use when
+    no such dict, or more than one, holds them all."""
+    tree = ast.parse(source)
+    uses = [
+        (n.id if isinstance(n, ast.Name) else n.attr, n)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id in names
+        or isinstance(n, ast.Attribute) and n.attr in names
+    ]
+    tables = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and {name for name, n in uses if n in set(ast.walk(node.value))} == names
+    ]
+    inside = set(ast.walk(tables[0])) if len(tables) == 1 else set()
+    return [f"{name} (line {n.lineno})" for name, n in uses if n not in inside]
+
+
+def test_scan_finds_an_error_named_outside_the_table():
+    src = (
+        "from .errors import E1, E2\n"
+        "ERRORS = {'a': E1, 'b': E2, 'c': E1}\n"
+        "def check(kind):\n    raise ERRORS[kind]('fault')\n"
+    )
+    assert names_outside_one_table(src, {"E1", "E2"}) == []
+    src += "def other():\n    raise E2('again')\n"
+    assert names_outside_one_table(src, {"E1", "E2"}) == ["E2 (line 6)"]
+    # a second table is a second copy of the map
+    twice = src.replace("ERRORS = ", "MORE = {'d': errors.E1, 'e': E2}\nERRORS = ")
+    assert names_outside_one_table(twice, {"E1", "E2"}) == [
+        "E1 (line 2)", "E2 (line 2)", "E1 (line 3)", "E2 (line 3)",
+        "E1 (line 3)", "E2 (line 7)",
+    ]
+
+
+def test_patch_names_placement_errors_only_in_its_fault_table():
+    assert names_outside_one_table(PATCH.read_text(), PLACEMENT_ERRORS) == []
 
 
 def test_scan_finds_an_unused_import():

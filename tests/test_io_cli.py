@@ -153,6 +153,14 @@ INVALID_FILES = {
         "tile S num 5 0 0 0\ntile T num 0 0 0 0\ntile T num 0.5 0 4 0\n",
         OverlapError,
     ),
+    # one tile with two faults: its corner (0.866, -0.5) lies inside the
+    # top edge of the downward triangle, and its corner at the origin
+    # overlaps the first triangle's; add_tile meets the T-junction first
+    "t-junction-and-overlap-in-one-tile": (
+        HEAD + "degrees 110\ntile T num 0 0 0 0\ntile T num 1.5 -0.5 3 0\n"
+        "tile T num 0 0 0 3\n",
+        EdgeMismatchError,
+    ),
     # a fifth tile at the closed star overlaps it, after the star fault
     "star-off-atlas-then-overlap": (
         HEAD + "degrees 90.000001\n"
@@ -260,6 +268,17 @@ def test_cli_render_deterministic(tmp_path):
     assert b1 == b2
     assert b1.startswith(b"<?xml")
     assert b1.count(b"<polygon") == len(loads(f.read_text()).tiles)
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_cli_render_refuses_scales_that_make_no_sense(tmp_path, capsys, scale):
+    f = tmp_path / "line.shield"
+    assert main(["generate", "line", "--word", "+", "--extent", "1",
+                 "--out", str(f)]) == 0
+    svg = tmp_path / "bad.svg"
+    assert main(["render", str(f), "--svg", str(svg), "--scale", scale]) == 1
+    assert "error: scale must be finite and positive" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def test_cli_root(capsys):

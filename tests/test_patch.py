@@ -24,6 +24,22 @@ ORIGIN = ExactPoint()
 ALPHA_NUM = make_alpha("decimal", 99.34)
 
 
+def refuse(patch, pl, error, match=None):
+    """Check that add_tile refuses pl with error and leaves the patch as
+    Patch.from_tiles builds its tiles: the same vertex ids and points,
+    boundary edges and gaps, and the report that the patch had."""
+    report = patch.validate()
+    with pytest.raises(error, match=match):
+        patch.add_tile(pl)
+    fresh = Patch.from_tiles(patch.alpha, patch.tiles)
+    assert list(patch.vertex_ids()) == list(fresh.vertex_ids())
+    for vid in fresh.vertex_ids():
+        assert patch.vertex_xy(vid) == fresh.vertex_xy(vid)
+        assert patch.gaps(vid) == fresh.gaps(vid)
+    assert patch.boundary_edges() == fresh.boundary_edges()
+    assert patch.validate() is report and report == fresh.validate()
+
+
 def hex_star(alpha=GENERIC) -> Patch:
     patch = Patch(alpha)
     for i in range(6):
@@ -73,16 +89,19 @@ def test_shield_corner_angles_sum():
 
 
 def test_duplicate_tile_rejected():
-    patch = hex_star()
-    with pytest.raises(OverlapError):
-        patch.add_tile(Placement("T", ORIGIN, Direction.of(0, 0)))
+    for alpha in (GENERIC, ALPHA_NUM):
+        patch = hex_star(alpha)
+        refuse(patch, Placement("T", ORIGIN, Direction.of(0, 0)), OverlapError)
+        # a duplicate of a tile of an open patch, with no closed star
+        patch.pop_tile()
+        refuse(patch, Placement("T", ORIGIN, Direction.of(0, 0)), OverlapError)
+        assert len(patch) == 5
 
 
 def test_overlapping_tile_rejected():
     patch = Patch(GENERIC)
     patch.add_tile(Placement("S", ORIGIN, Direction.of(0, 0)))
-    with pytest.raises(OverlapError):
-        patch.add_tile(Placement("S", ORIGIN, Direction.of(1, 0)))
+    refuse(patch, Placement("S", ORIGIN, Direction.of(1, 0)), OverlapError)
 
 
 def test_overlap_without_shared_corner_rejected():
@@ -94,8 +113,7 @@ def test_overlap_without_shared_corner_rejected():
     poke = Placement("T", ExactPoint.from_dict({1: (1, 0)}), Direction.of(5, 0))
     x, y = poke.corner_xy(patch.eval_rad)[1]
     assert 0 < y < math.sqrt(3) * min(x, 1 - x)  # strictly inside
-    with pytest.raises(OverlapError, match="interior overlap"):
-        patch.add_tile(poke)
+    refuse(patch, poke, OverlapError, "tiles 0 and 1 overlap in their interiors")
     assert len(patch) == 1
 
 
@@ -310,8 +328,7 @@ def test_validate_reports_corner_inside_an_edge(monkeypatch):
     patch = Patch(ALPHA_NUM)
     patch.add_tile(Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0)))
     lower = Placement("T", FloatPoint(0.5, 0.0), Direction.of(4, 0))
-    with pytest.raises(EdgeMismatchError):
-        patch.add_tile(lower)
+    refuse(patch, lower, EdgeMismatchError, "vertex 3 lies inside an edge")
     assert patch.validate().ok
     planted = Patch(ALPHA_NUM)
     with monkeypatch.context() as m:
@@ -335,8 +352,7 @@ def test_corner_near_the_end_of_an_edge_rejected(upper_first):
         first, second = (upper, lower) if upper_first else (lower, upper)
         patch = Patch(ALPHA_NUM)
         patch.add_tile(first)
-        with pytest.raises(EdgeMismatchError):
-            patch.add_tile(second)
+        refuse(patch, second, EdgeMismatchError, "lies inside an edge")
         assert len(patch) == 1
 
 
@@ -347,8 +363,7 @@ def test_tip_to_tip_overlap_rejected():
     patch.add_tile(Placement("T", FloatPoint(0.0, 0.0), Direction.of(0, 0)))
     tip = math.sqrt(3) / 2
     poke = Placement("T", FloatPoint(0.5, tip - 0.01), Direction.of(1, 0))
-    with pytest.raises(OverlapError, match="interior overlap"):
-        patch.add_tile(poke)
+    refuse(patch, poke, OverlapError, "overlap in their interiors")
     assert len(patch) == 1
 
 
@@ -367,26 +382,21 @@ def test_tip_to_tip_overlap_rejected():
         ),
     ],
 )
-def test_overlapping_shields_in_distant_grid_cells_rejected(
-    alpha, first, second, monkeypatch
-):
+def test_overlapping_shields_in_distant_grid_cells_rejected(alpha, first, second):
     # two overlapping shields whose corner means lie 2.0 to 2.3 apart, in
-    # cells of the tile grid that a 2-unit cell would not make neighbours;
-    # with the overlap test switched off for add_tile, validate must find
-    # the overlap
+    # cells of the tile grid that a 2-unit cell would not make neighbours.
+    # from_tiles replays the pair through add_tile only when the batch
+    # validate() has found the overlap
     a, b = (
         Placement("S", ExactPoint.from_dict(coeffs), Direction.of(*heading))
         for coeffs, heading in (first, second)
     )
     patch = Patch(alpha)
     patch.add_tile(a)
-    with pytest.raises(OverlapError, match="interior overlap"):
-        patch.add_tile(b)
+    refuse(patch, b, OverlapError, "tiles 0 and 1 overlap in their interiors")
     assert len(patch) == 1
-    with monkeypatch.context() as m:
-        m.setattr(Patch, "_overlaps", lambda self, *args: iter(()))
-        patch.add_tile(b)
-    assert [v.kind for v in patch.validate().violations] == ["overlap"]
+    with pytest.raises(OverlapError, match="tiles 0 and 1 overlap in their interiors"):
+        Patch.from_tiles(alpha, [a, b])
 
 
 def test_star_closing_within_tolerance_but_off_the_atlas_rejected():
@@ -396,14 +406,13 @@ def test_star_closing_within_tolerance_but_off_the_atlas_rejected():
     patch = Patch(make_alpha("decimal", 90 + 1e-6))
     for k in range(3):
         patch.add_tile(Placement("S", ORIGIN, Direction.of(0, k)))
-    with pytest.raises(AtlasViolation, match="AAAA"):
-        patch.add_tile(Placement("S", ORIGIN, Direction.of(0, 3)))
+    refuse(patch, Placement("S", ORIGIN, Direction.of(0, 3)), AtlasViolation, "AAAA")
     assert len(patch) == 3
 
 
 def test_star_word_is_built_only_for_its_readers(monkeypatch):
     # a closed star is judged by the vertex equation; its canonical word is
-    # built only for interior_word and the two atlas messages
+    # built only for interior_word and the atlas message
     built = []
     word_of = patch_module.canonical_word
     monkeypatch.setattr(
@@ -420,8 +429,8 @@ def test_star_word_is_built_only_for_its_readers(monkeypatch):
     last = Placement("S", ORIGIN, Direction.of(0, 3))
     with pytest.raises(AtlasViolation) as exc:
         patch.add_tile(last)
-    assert str(exc.value) == "interior star AAAA not in atlas"
-    # planted past the equation, validate reports it in its own words
+    assert str(exc.value) == "vertex 0 star AAAA not in atlas"
+    # planted past the equation, validate reports it in the same words
     with monkeypatch.context() as m:
         m.setattr(patch_module, "full_turn_check", lambda *args: True)
         patch.add_tile(last)

@@ -598,8 +598,7 @@ def _planted(alpha, tiles):
     them before it validates."""
     patch = Patch(alpha)
     for t in tiles:
-        geom, pts = patch._corners(t)
-        patch._commit(t, geom, pts, patch._locate(geom[0], pts))
+        patch._commit(t)
     return patch
 
 
